@@ -14,20 +14,18 @@ from . import catalog as cat
 from . import constructions as con
 from .embeddings import (
     Empty,
-    MeetEmbedding,
     Valid,
     extend,
     preimage_cone,
     validate,
 )
-from .metric import Bounded, Dyadic, Exact, SCHEDULES, distance
+from .metric import Exact, SCHEDULES, distance
 from .sequences import (
     AugmentedPoint,
     BudgetExceeded,
     DepthBudget,
     DomainMismatch,
     FinitePoint,
-    InfinitePoint,
     PeriodicPoint,
     Point,
     Seq,
@@ -41,9 +39,8 @@ from .serialize import (
     point_from_json,
     point_to_json,
     table_to_json,
-    value_to_json,
 )
-from .topology import Cone, Counterexample, basic_member, cover_decide, uncovered_descent
+from .topology import Counterexample, basic_member, cover_decide, uncovered_descent
 from .trace import recheck
 
 EXIT_PARSE, EXIT_DOMAIN, EXIT_BUDGET = 2, 3, 4
@@ -81,23 +78,6 @@ def _budget(args) -> DepthBudget:
 def _emit(doc: dict) -> int:
     print(json.dumps(doc, ensure_ascii=False, sort_keys=True))
     return 0
-
-
-def _extend_point(pi: MeetEmbedding, p: Point, budget: DepthBudget) -> Point:
-    """Extension with a finitely presented result for periodic inputs.
-
-    The accepted embedding kinds all act coordinate-by-coordinate beyond a
-    finite depth, so an eventually periodic input has an eventually
-    periodic image.
-    """
-    if isinstance(p, (FinitePoint, AugmentedPoint)):
-        return extend(pi, p, budget)
-    if isinstance(p, PeriodicPoint):
-        d = max(len(p.head) + len(p.period), budget.depth // 4)
-        head = pi.apply(p.restrict(d, budget).seq)
-        k = (d - len(p.head)) % len(p.period)
-        return PeriodicPoint(head, p.period[k:] + p.period[:k])
-    raise DomainMismatch("only finitely presented points are accepted")
 
 
 # --- subcommand handlers --------------------------------------------------
@@ -169,7 +149,7 @@ def _cmd_embed(args) -> int:
         return _emit({"image": list(pi.apply(t))})
     if args.action == "extend":
         p = point_from_json(_json_arg(args.point, "--point"))
-        return _emit({"point": point_to_json(_extend_point(pi, p, budget))})
+        return _emit({"point": point_to_json(extend(pi, p, budget))})
     if args.action == "compose":
         pi2 = embedding_from_json(_json_arg(args.pi2, "--pi2"))
         composed = pi.compose(pi2)

@@ -12,24 +12,24 @@ failing with BudgetExceeded when the allowance runs out.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Sequence
 
-from .metric import Dyadic, EpsilonSchedule, Exact, distance, weight_schedule
+from .metric import Dyadic, EpsilonSchedule, weight_schedule
 from .sequences import (
     DEFAULT_BUDGET,
     AugmentedPoint,
     BudgetExceeded,
     DepthBudget,
     DomainMismatch,
-    FinitePoint,
     PeriodicPoint,
     Point,
     Seq,
     is_prefix,
     nodes_in_range,
+    weight,
 )
-from .embeddings import MeetEmbedding, Valid, extend, meet_preservation_oracle, validate
+from .embeddings import MeetEmbedding, Valid, extend, validate
 from .serialize import node_key, point_to_json, table_to_json, value_to_json
 
 Value = Any  # Dyadic or Point; equality/distance owned by the SpaceFunction
@@ -43,6 +43,17 @@ class TreeSetOracle:
     name: str
     member: Callable[[Seq], bool]
     dense_extension: Callable[[Seq], Seq] | None = None
+
+
+@dataclass(frozen=True)
+class TreeFamily:
+    """Tree sets indexed by level, under the name a trace records."""
+
+    name: str
+    level: Callable[[int], TreeSetOracle]
+
+    def __call__(self, n: int) -> TreeSetOracle:
+        return self.level(n)
 
 
 @dataclass
@@ -221,8 +232,6 @@ def _word_pool(branch: int) -> list[Seq]:
     b = min(max(branch, 4), 6)
     words = set(nodes_in_range(4, b))
     words.update((0,) * k for k in range(5, 20))
-    from .sequences import weight
-
     return sorted(words, key=lambda w: (weight(w), len(w), w))
 
 
@@ -247,6 +256,69 @@ def _build_table(
         if t:
             table[t] = child_image(t[:-1], t[-1], table[t[:-1]])
     return table
+
+
+def _refine(
+    pred: Callable[[Seq, Seq], bool],
+    roots: Iterable[Seq],
+    pool: list[Seq],
+    steps: _Steps,
+    out_depth: int,
+    out_branch: int,
+    hint: Callable[[Seq, Seq], Seq | None] | None = None,
+) -> dict[Seq, Seq]:
+    """The table of the first root that admits one, node by node in
+    canonical order.
+
+    The image of node u is the first candidate c with pred(c, u): the root
+    followed by a pool word for the empty node, otherwise the parent's
+    image, u's last coordinate and a pool word.  hint(start, u), when
+    given, proposes an extension of that start to try before the pool.
+    """
+    for root in roots:
+        table: dict[Seq, Seq] = {}
+        try:
+            for u in nodes_in_range(out_depth, out_branch):
+                start = table[u[:-1]] + u[-1:] if u else root
+                c = hint(start, u) if hint else None
+                if c is not None and is_prefix(start, c) and pred(c, u):
+                    steps.tick()
+                else:
+                    c = _find(lambda x: pred(x, u), (start + w for w in pool), steps)
+                table[u] = c
+        except _SearchFailed:
+            continue
+        return table
+    raise _SearchFailed
+
+
+_TAIL = 16  # child whose augmented value stands in for the limit of a node's values
+
+
+def _converging_table(phi: SpaceFunction, schedule: EpsilonSchedule, pool: list[Seq],
+                      steps: _Steps, out_depth: int, out_branch: int) -> tuple[dict, Point]:
+    """Table whose augmented values lie within half the schedule of one
+    limit, the value at the root image's child _TAIL; also that point."""
+
+    def close(c: Seq, limit: Value, u: Seq) -> bool:
+        return phi.value_distance(phi.evaluate(AugmentedPoint(c)), limit) < schedule(u).half()
+
+    root = _find(lambda c: close(c, phi.evaluate(AugmentedPoint(c + (_TAIL,))), ()), pool, steps)
+    tail = AugmentedPoint(root + (_TAIL,))
+    limit = phi.evaluate(tail)
+    # The root passes close() again at once: its limit is this one.
+    return _refine(lambda c, u: close(c, limit, u), [root], pool, steps, out_depth, out_branch), tail
+
+
+def _cmp(kind: str, a: Point, b: Point, bound: Dyadic) -> dict:
+    """A certificate comparing the distance between the values at a and b
+    with bound."""
+    return {"kind": kind, "a": point_to_json(a), "b": point_to_json(b), "bound": str(bound)}
+
+
+def _prefix_table(s: Seq, out_depth: int, out_branch: int) -> dict[Seq, Seq]:
+    """The table of the prefix embedding t -> s + t."""
+    return {t: s + t for t in nodes_in_range(out_depth, out_branch)}
 
 
 def _std_trace(op: str, params: dict, table: dict[Seq, Seq], certs: list[dict], **extra) -> dict:
@@ -277,18 +349,10 @@ def ramsey_split(
     def attempt(inside: bool) -> dict[Seq, Seq]:
         steps = _Steps(budget.steps, "ramsey_split")
         member = T.member if inside else (lambda t: not T.member(t))
-        for s in roots:
-            try:
-                root = _find(member, (s + w for w in pool), steps)
-                return _build_table(
-                    root,
-                    lambda t, i, pimg: _find(member, (pimg + (i,) + w for w in pool), steps),
-                    out_depth,
-                    out_branch,
-                )
-            except _SearchFailed:
-                continue
-        raise BudgetExceeded("no root admits a full table on this side", stage="ramsey_split")
+        try:
+            return _refine(lambda c, u: member(c), roots, pool, steps, out_depth, out_branch)
+        except _SearchFailed:
+            raise BudgetExceeded("no root admits a full table on this side", stage="ramsey_split")
 
     try:
         table, side, inside = attempt(True), InT(), True
@@ -303,17 +367,8 @@ def ramsey_split(
     return side, PartialEmbedding(table, out_depth, out_branch, trace)
 
 
-def _pick_in_set(oracle: TreeSetOracle, r: Seq, pool: list[Seq], steps: _Steps) -> Seq:
-    if oracle.dense_extension is not None:
-        t = tuple(oracle.dense_extension(r))
-        if is_prefix(r, t) and oracle.member(t):
-            steps.tick()
-            return t
-    return _find(oracle.member, (r + w for w in pool), steps)
-
-
 def category_refine(
-    families: Sequence[TreeSetOracle] | Callable[[int], TreeSetOracle],
+    family: TreeFamily,
     s: Seq,
     out_depth: int,
     out_branch: int,
@@ -322,29 +377,26 @@ def category_refine(
 ) -> PartialEmbedding:
     """Table rooted in the cone at s with every length-n image in T_n."""
     budget = budget or DEFAULT_BUDGET
-    level = families.__getitem__ if isinstance(families, Sequence) else families
-    steps = _Steps(budget.steps, op_name)
-    pool = _word_pool(out_branch)
+    levels = [family(n) for n in range(out_depth + 1)]
+
+    def hint(start: Seq, u: Seq) -> Seq | None:
+        dense = levels[len(u)].dense_extension
+        return None if dense is None else tuple(dense(start))
+
     try:
-        root = _pick_in_set(level(0), tuple(s), pool, steps)
-        table = _build_table(
-            root,
-            lambda t, i, pimg: _pick_in_set(level(len(t) + 1), pimg + (i,), pool, steps),
-            out_depth,
-            out_branch,
-        )
+        table = _refine(lambda c, u: levels[len(u)].member(c), [tuple(s)], _word_pool(out_branch),
+                        _Steps(budget.steps, op_name), out_depth, out_branch, hint)
     except _SearchFailed:
         raise BudgetExceeded("level constraint not reachable by search", stage=op_name)
     certs = [{"kind": "in_set", "family_level": len(t), "node": list(img), "member": True}
              for t, img in table.items()]
-    family_name = getattr(families, "family_name", None) or getattr(level(0), "name", "?")
     trace = _std_trace(op_name, {"depth": out_depth, "branch": out_branch, "root": list(s)},
-                       table, certs, family=family_name)
+                       table, certs, family=family.name)
     return PartialEmbedding(table, out_depth, out_branch, trace)
 
 
 def continuity_refine(
-    families: Sequence[TreeSetOracle] | Callable[[int], TreeSetOracle],
+    family: TreeFamily,
     s: Seq = (),
     out_depth: int = 3,
     out_branch: int = 3,
@@ -355,7 +407,7 @@ def continuity_refine(
     The presentation is the same data category_refine consumes, and the
     work is delegated wholesale.
     """
-    return category_refine(families, s, out_depth, out_branch, budget,
+    return category_refine(family, s, out_depth, out_branch, budget,
                            op_name="continuity_refine")
 
 
@@ -371,19 +423,9 @@ def diameter_shrink(
     budget = budget or DEFAULT_BUDGET
     if phi.cone_diameter is None:
         raise DomainMismatch("diameter_shrink needs a cone_diameter oracle")
-    steps = _Steps(budget.steps, "diameter_shrink")
-    pool = _word_pool(out_branch)
     try:
-        root = _find(lambda c: phi.cone_diameter(c) < schedule(()),
-                     (w for w in pool), steps)
-        table = _build_table(
-            root,
-            lambda t, i, pimg: _find(
-                lambda c, _n=t + (i,): phi.cone_diameter(c) < schedule(_n),
-                (pimg + (i,) + w for w in pool), steps),
-            out_depth,
-            out_branch,
-        )
+        table = _refine(lambda c, u: phi.cone_diameter(c) < schedule(u), [()], _word_pool(out_branch),
+                        _Steps(budget.steps, "diameter_shrink"), out_depth, out_branch)
     except _SearchFailed:
         raise BudgetExceeded("no image with small enough cone diameter", stage="diameter_shrink")
     certs = [{"kind": "diam_lt", "node": list(img), "eps": str(schedule(t))}
@@ -429,10 +471,8 @@ def children_stabilize(
         if len(picks) == chain_len:
             verdicts[node] = Convergent()
             for i, kk in enumerate(picks[:out_branch]):
-                certs.append({"kind": "value_dist_le",
-                              "a": point_to_json(AugmentedPoint(r + (kk,))),
-                              "b": point_to_json(AugmentedPoint(r + (tail,))),
-                              "bound": str(Dyadic.pow2(-i))})
+                certs.append(_cmp("value_dist_le", AugmentedPoint(r + (kk,)),
+                                  AugmentedPoint(r + (tail,)), Dyadic.pow2(-i)))
             return picks[:out_branch]
         for e in range(13):
             eps = Dyadic.pow2(-e)
@@ -446,10 +486,8 @@ def children_stabilize(
                 verdicts[node] = Discrete(eps)
                 for a in range(out_branch):
                     for b in range(a + 1, out_branch):
-                        certs.append({"kind": "value_dist_ge",
-                                      "a": point_to_json(AugmentedPoint(r + (picks[a],))),
-                                      "b": point_to_json(AugmentedPoint(r + (picks[b],))),
-                                      "bound": str(eps)})
+                        certs.append(_cmp("value_dist_ge", AugmentedPoint(r + (picks[a],)),
+                                          AugmentedPoint(r + (picks[b],)), eps))
                 return picks
         raise BudgetExceeded(f"neither verdict certified at {node}",
                              stage="children_stabilize")
@@ -545,28 +583,16 @@ def limit_refine(
     budget = budget or DEFAULT_BUDGET
     steps = _Steps(budget.steps, "limit_refine")
     pool = _word_pool(out_branch)
-    certs: list[dict] = []
 
     def near(img: Seq, node: Seq) -> bool:
         b = phi.sample_point(img)
         d = phi.value_distance(phi.evaluate(b), phi.evaluate(AugmentedPoint(img)))
         return d < schedule(node)
 
-    def record(img: Seq, node: Seq) -> None:
-        certs.append({"kind": "value_dist_lt",
-                      "a": point_to_json(phi.sample_point(img)),
-                      "b": point_to_json(AugmentedPoint(img)),
-                      "bound": str(schedule(node))})
-
     try:
-        root = _find(lambda c: near(c, ()), (w for w in pool), steps)
-        table = _build_table(
-            root,
-            lambda t, i, pimg: _find(lambda c, _n=t + (i,): near(c, _n),
-                                     (pimg + (i,) + w for w in pool), steps),
-            out_depth, out_branch)
-        for t, img in table.items():
-            record(img, t)
+        table = _refine(near, [()], pool, steps, out_depth, out_branch)
+        certs = [_cmp("value_dist_lt", phi.sample_point(img), AugmentedPoint(img), schedule(t))
+                 for t, img in table.items()]
         trace = _std_trace("limit_refine",
                            {"depth": out_depth, "branch": out_branch,
                             "schedule": schedule.name},
@@ -587,13 +613,8 @@ def limit_refine(
                 d = phi.value_distance(vb, phi.evaluate(a))
                 delta = d if delta is None or d < delta else delta
         if delta is not None and not delta.is_zero():
-            pi = MeetEmbedding.prefix(s)
-            table = {t: pi.apply(t) for t in nodes_in_range(out_depth, out_branch)}
-            for b in baire:
-                for a in augs:
-                    certs.append({"kind": "value_dist_ge",
-                                  "a": point_to_json(b), "b": point_to_json(a),
-                                  "bound": str(delta)})
+            table = _prefix_table(s, out_depth, out_branch)
+            certs = [_cmp("value_dist_ge", b, a, delta) for b in baire for a in augs]
             trace = _std_trace("limit_refine",
                                {"depth": out_depth, "branch": out_branch,
                                 "schedule": schedule.name},
@@ -640,14 +661,9 @@ def epsilon_discrete_or_ball(
                 img = _find(fresh, (pimg + (n,) + w for w in pool), steps)
             table[u] = img
             chosen_values[u] = phi.evaluate(AugmentedPoint(img))
-        certs = []
-        nodes = list(table)
-        for a in range(len(nodes)):
-            for b in range(a + 1, len(nodes)):
-                certs.append({"kind": "value_dist_ge",
-                              "a": point_to_json(AugmentedPoint(table[nodes[a]])),
-                              "b": point_to_json(AugmentedPoint(table[nodes[b]])),
-                              "bound": str(eps)})
+        imgs = list(table.values())
+        certs = [_cmp("value_dist_ge", AugmentedPoint(imgs[a]), AugmentedPoint(imgs[b]), eps)
+                 for a in range(len(imgs)) for b in range(a + 1, len(imgs))]
         trace = _std_trace("epsilon_discrete_or_ball",
                            {"depth": out_depth, "branch": out_branch,
                             "eps": str(eps), "root": list(t)},
@@ -660,22 +676,13 @@ def epsilon_discrete_or_ball(
     for u in pool[:16]:
         center_point = AugmentedPoint(t + u)
         center = phi.evaluate(center_point)
-
-        def inside(c: Seq) -> bool:
-            return phi.value_distance(phi.evaluate(AugmentedPoint(c)), center) < eps
-
         try:
-            root = _find(inside, (t + w for w in pool), steps)
-            table = _build_table(
-                root,
-                lambda tt, i, pimg: _find(inside, (pimg + (i,) + w for w in pool), steps),
-                out_depth, out_branch)
+            table = _refine(
+                lambda c, _u: phi.value_distance(phi.evaluate(AugmentedPoint(c)), center) < eps,
+                [t], pool, steps, out_depth, out_branch)
         except _SearchFailed:
             continue
-        certs = [{"kind": "value_dist_lt",
-                  "a": point_to_json(AugmentedPoint(img)),
-                  "b": point_to_json(center_point),
-                  "bound": str(eps)}
+        certs = [_cmp("value_dist_lt", AugmentedPoint(img), center_point, eps)
                  for img in table.values()]
         trace = _std_trace("epsilon_discrete_or_ball",
                            {"depth": out_depth, "branch": out_branch,
@@ -707,29 +714,10 @@ def shrink_or_discrete(
     except BudgetExceeded:
         pass
 
-    steps = _Steps(budget.steps, "shrink_or_discrete")
-    pool = _word_pool(out_branch)
-    tail_k = 16
-
-    def limit_at(r: Seq) -> Value:
-        return phi.evaluate(AugmentedPoint(r + (tail_k,)))
-
     try:
-        root = _find(
-            lambda c: phi.value_distance(phi.evaluate(AugmentedPoint(c)), limit_at(c))
-            < schedule(()).half(),
-            (w for w in pool), steps)
-        limit = limit_at(root)
-
-        def ok(c: Seq, node: Seq) -> bool:
-            return phi.value_distance(phi.evaluate(AugmentedPoint(c)), limit) \
-                < schedule(node).half()
-
-        table = _build_table(
-            root,
-            lambda t, i, pimg: _find(lambda c, _n=t + (i,): ok(c, _n),
-                                     (pimg + (i,) + w for w in pool), steps),
-            out_depth, out_branch)
+        table, _ = _converging_table(phi, schedule, _word_pool(out_branch),
+                                     _Steps(budget.steps, "shrink_or_discrete"),
+                                     out_depth, out_branch)
     except _SearchFailed:
         raise BudgetExceeded("diameter-to-zero table not reachable", stage="shrink_or_discrete")
 
@@ -770,8 +758,7 @@ def point_avoid(
                       "a": point_to_json(AugmentedPoint(s + u)),
                       "x": value_to_json(x), "bound": str(d)}
                      for u, d in zip(words, dists)]
-            pi = MeetEmbedding.prefix(s)
-            table = {t: pi.apply(t) for t in nodes_in_range(2, 3)}
+            table = _prefix_table(s, 2, 3)
             trace = _std_trace("point_avoid", {"x": value_to_json(x)}, table, certs,
                                function=phi.spec, s=list(s))
             return s, PartialEmbedding(table, 2, 3, trace)
@@ -795,17 +782,10 @@ def finite_avoid_or_converge(
 
     for x in F:
         steps = _Steps(budget.steps, "finite_avoid_or_converge")
-
-        def near(c: Seq, node: Seq) -> bool:
-            return phi.value_distance(phi.evaluate(AugmentedPoint(c)), x) < schedule(node)
-
         try:
-            root = _find(lambda c: near(c, ()), (t + w for w in pool), steps)
-            table = _build_table(
-                root,
-                lambda tt, i, pimg: _find(lambda c, _n=tt + (i,): near(c, _n),
-                                          (pimg + (i,) + w for w in pool), steps),
-                out_depth, out_branch)
+            table = _refine(
+                lambda c, u: phi.value_distance(phi.evaluate(AugmentedPoint(c)), x) < schedule(u),
+                [t], pool, steps, out_depth, out_branch)
         except (_SearchFailed, BudgetExceeded):
             continue
         certs = [{"kind": "avoid_value", "op": "lt",
@@ -830,8 +810,7 @@ def finite_avoid_or_converge(
                 d = phi.value_distance(v, x)
                 delta = d if delta is None or d < delta else delta
         if delta is not None and not delta.is_zero():
-            pi = MeetEmbedding.prefix(u)
-            table = {v: pi.apply(v) for v in nodes_in_range(out_depth, out_branch)}
+            table = _prefix_table(u, out_depth, out_branch)
             certs = [{"kind": "avoid_value",
                       "a": point_to_json(AugmentedPoint(u + w)),
                       "x": value_to_json(x), "bound": str(delta)}
@@ -858,30 +837,10 @@ def discrete_refine(
     budget = budget or DEFAULT_BUDGET
     pool = _word_pool(out_branch)
     steps = _Steps(budget.steps, "discrete_refine")
-    tail_k = 16
 
     try:
-        root = _find(
-            lambda c: phi.value_distance(
-                phi.evaluate(AugmentedPoint(c)),
-                phi.evaluate(AugmentedPoint(c + (tail_k,)))) < schedule(()).half(),
-            (w for w in pool), steps)
-        tail_point = AugmentedPoint(root + (tail_k,))
-        limit = phi.evaluate(tail_point)
-
-        def near(c: Seq, node: Seq) -> bool:
-            return phi.value_distance(phi.evaluate(AugmentedPoint(c)), limit) \
-                < schedule(node).half()
-
-        table = _build_table(
-            root,
-            lambda t, i, pimg: _find(lambda c, _n=t + (i,): near(c, _n),
-                                     (pimg + (i,) + w for w in pool), steps),
-            out_depth, out_branch)
-        certs = [{"kind": "value_dist_lt",
-                  "a": point_to_json(AugmentedPoint(img)),
-                  "b": point_to_json(tail_point),
-                  "bound": str(schedule(u).half())}
+        table, tail_point = _converging_table(phi, schedule, pool, steps, out_depth, out_branch)
+        certs = [_cmp("value_dist_lt", AugmentedPoint(img), tail_point, schedule(u).half())
                  for u, img in table.items()]
         certs.append({"kind": "meet_table"})
         trace = _std_trace("discrete_refine",
@@ -916,11 +875,9 @@ def discrete_refine(
             img = _find(lambda c: avoiding(c) is not None, cands, steps)
             bound = avoiding(img)
             for w in below_words:
-                for m, x in limits.items():
-                    certs.append({"kind": "avoid_pair",
-                                  "a": point_to_json(AugmentedPoint(table[m])),
-                                  "b": point_to_json(AugmentedPoint(img + w)),
-                                  "bound": str(bound)})
+                for m in limits:
+                    certs.append(_cmp("avoid_pair", AugmentedPoint(table[m]),
+                                      AugmentedPoint(img + w), bound))
             table[u] = img
             limits[u] = phi.evaluate(AugmentedPoint(img))
     except _SearchFailed:
@@ -964,18 +921,10 @@ def disjoint_refine(
     if s is None:
         raise BudgetExceeded("no witness prefix with small enough image diameter",
                              stage="disjoint_refine")
-    certs = [{"kind": "diam_lt", "node": list(s), "eps": str(third)}]
-    sample = phi.sample_point(s)
-    certs.append({"kind": "value_dist_le",
-                  "a": point_to_json(sample), "b": point_to_json(witness),
-                  "bound": str(third)})
-    for u in aug_words:
-        certs.append({"kind": "value_dist_ge",
-                      "a": point_to_json(witness),
-                      "b": point_to_json(AugmentedPoint(u)),
-                      "bound": str(delta)})
-    pi = MeetEmbedding.prefix(s)
-    table = {t: pi.apply(t) for t in nodes_in_range(2, 3)}
+    certs = [{"kind": "diam_lt", "node": list(s), "eps": str(third)},
+             _cmp("value_dist_le", phi.sample_point(s), witness, third)]
+    certs += [_cmp("value_dist_ge", witness, AugmentedPoint(u), delta) for u in aug_words]
+    table = _prefix_table(s, 2, 3)
     trace = _std_trace("disjoint_refine",
                        {"delta": str(delta)}, table, certs,
                        function=phi.spec, witness=point_to_json(witness), s=list(s))
@@ -995,10 +944,8 @@ def classify_baire_function(
     probes = [phi.sample_point(t) for t in nodes_in_range(2, 3)[:9]]
     values = [phi.evaluate(p) for p in probes]
     if all(phi.value_distance(values[0], v).is_zero() for v in values[1:]):
-        certs = [{"kind": "value_dist_le", "a": point_to_json(probes[0]),
-                  "b": point_to_json(p), "bound": "0"} for p in probes[1:]]
-        pi = MeetEmbedding.identity()
-        table = {t: t for t in nodes_in_range(out_depth, out_branch)}
+        certs = [_cmp("value_dist_le", probes[0], p, Dyadic.zero()) for p in probes[1:]]
+        table = _prefix_table((), out_depth, out_branch)
         trace = _std_trace("classify_baire_function",
                            {"depth": out_depth, "branch": out_branch},
                            table, certs, function=phi.spec, shape="Constant", stages=[])

@@ -9,6 +9,8 @@ oracle below checks independently.
 """
 from __future__ import annotations
 
+import functools
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -19,6 +21,7 @@ from .sequences import (
     DepthBudget,
     FinitePoint,
     InfinitePoint,
+    PeriodicPoint,
     Point,
     Seq,
     is_prefix,
@@ -57,6 +60,9 @@ class MeetEmbedding:
         self.name = name
         self._memo: dict[Seq, Seq] = {(): self.root}
         self._fork: dict[Seq, dict[int, int]] = {}
+        # Depth from which every child image is the parent image followed by
+        # the child coordinate, or None when the rule gives no such depth.
+        self.stable: int | None = None
 
     def apply(self, t: Seq) -> Seq:
         got = self._memo.get(t)
@@ -93,19 +99,24 @@ class MeetEmbedding:
 
         e = MeetEmbedding(outer.apply(inner.apply(())), rule,
                           name=f"{outer.name or 'outer'}∘{inner.name or 'inner'}")
+        # Images are at least as long as their nodes, so past both depths
+        # the inner copy lands where the outer one copies too.
+        if outer.stable is not None and inner.stable is not None:
+            e.stable = max(outer.stable, inner.stable)
         return e
-
-    def root_node(self) -> Seq:
-        return ()
 
     @classmethod
     def prefix(cls, s: Seq) -> "MeetEmbedding":
         s = tuple(s)
-        return cls(s, lambda t, i, _s=s: _s + t + (i,), name=f"prefix{list(s)}")
+        e = cls(s, lambda t, i, _s=s: _s + t + (i,), name=f"prefix{list(s)}")
+        e.stable = 0
+        return e
 
     @classmethod
     def identity(cls) -> "MeetEmbedding":
-        return cls((), lambda t, i: t + (i,), name="id")
+        e = cls((), lambda t, i: t + (i,), name="id")
+        e.stable = 0
+        return e
 
     @classmethod
     def from_node_map(cls, node_map: Callable[[Seq], Seq], name: str = "") -> "MeetEmbedding":
@@ -117,29 +128,14 @@ class MeetEmbedding:
         identity successor step on top of the computed parent image."""
         tbl = {tuple(k): tuple(v) for k, v in table.items()}
 
-        def rule(t: Seq, i: int, _e_ref=[]) -> Seq:
+        def rule(t: Seq, i: int) -> Seq:
             child = t + (i,)
             if child in tbl:
                 return tbl[child]
-            return _e_ref[0].apply(t) + (i,)
+            return e.apply(t) + (i,)
 
-        root = tbl.get((), ())
-        e = cls(root, rule, name=name)
-        rule.__defaults__ = ([e],)
-        return e
-
-    @classmethod
-    def from_child_words(
-        cls, root: Seq, word: Callable[[Seq, int], Seq], name: str = "child_word"
-    ) -> "MeetEmbedding":
-        """Successor images image(t)+word(t, i); the word must be nonempty
-        with per-node injective first coordinates."""
-
-        def rule(t: Seq, i: int, _e_ref=[]) -> Seq:
-            return _e_ref[0].apply(t) + tuple(word(t, i))
-
-        e = cls(root, rule, name=name)
-        rule.__defaults__ = ([e],)
+        e = cls(tbl.get((), ()), rule, name=name)
+        e.stable = max(map(len, tbl), default=0)
         return e
 
 
@@ -194,18 +190,25 @@ def meet_preservation_oracle(
     get = candidate.__getitem__ if isinstance(candidate, Mapping) else candidate
     nodes = nodes_in_range(depth, branch)
     imgs = [tuple(get(t)) for t in nodes]
-    img_of = dict(zip(nodes, imgs))
-    for a in range(len(nodes)):
-        s, ps = nodes[a], imgs[a]
-        for b in range(a + 1, len(nodes)):
-            t, pt = nodes[b], imgs[b]
-            if ps == pt:
-                return Disagrees(s, t)
-            r = meet(s, t)
-            pr = img_of[r]
-            if meet(ps, pt) != pr:
-                return Disagrees(s, t)
+    for a, row in enumerate(_meet_positions(depth, branch)):
+        ps = imgs[a]
+        for b, r in enumerate(row, a + 1):
+            # The image meet is pr exactly when both images extend pr and
+            # differ right after it, which also rules out equal images.
+            pt, pr = imgs[b], imgs[r]
+            n = len(pr)
+            if ps[n:n + 1] == pt[n:n + 1] or ps[:n] != pr or pt[:n] != pr:
+                return Disagrees(nodes[a], nodes[b])
     return Agrees()
+
+
+@functools.lru_cache(maxsize=8)
+def _meet_positions(depth: int, branch: int) -> list[array]:
+    """Row a holds, for each b > a, the position of the meet of nodes a and b
+    in the canonical order of nodes_in_range."""
+    nodes = nodes_in_range(depth, branch)
+    pos = {t: k for k, t in enumerate(nodes)}
+    return [array("I", [pos[meet(s, t)] for t in nodes[a + 1:]]) for a, s in enumerate(nodes)]
 
 
 class EmbeddingFamily:
@@ -245,12 +248,20 @@ def amalgamate(family: EmbeddingFamily, depth: int, branch: int) -> MeetEmbeddin
 
 
 def extend(pi: MeetEmbedding, p: Point, budget: DepthBudget | None = None) -> Point:
-    """The unique continuous extension of pi to the compactified space."""
+    """The unique continuous extension of pi to the compactified space.
+
+    A periodic point has an exact periodic image when pi copies coordinates
+    past a finite depth; other infinite points are extended lazily.
+    """
     budget = budget or DEFAULT_BUDGET
     if isinstance(p, FinitePoint):
         return FinitePoint(pi.apply(p.seq))
     if isinstance(p, AugmentedPoint):
         return AugmentedPoint(pi.apply(p.seq))
+    if isinstance(p, PeriodicPoint) and pi.stable is not None:
+        n = max(pi.stable, len(p.head))
+        k = (n - len(p.head)) % len(p.period)
+        return PeriodicPoint(pi.apply(p._prefix(n)), p.period[k:] + p.period[:k])
 
     def prefix_fn(k: int) -> Seq:
         i = 0

@@ -143,14 +143,6 @@ def dyadic_max(*xs: Dyadic) -> Dyadic:
     return best
 
 
-def dyadic_min(*xs: Dyadic) -> Dyadic:
-    best = xs[0]
-    for x in xs[1:]:
-        if x < best:
-            best = x
-    return best
-
-
 @dataclass(frozen=True)
 class EpsilonSchedule:
     """A node-indexed family of positive dyadic radii, decreasing along the

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .constructions import SpaceFunction, TreeSetOracle, compose_function
+from .constructions import SpaceFunction, TreeFamily, TreeSetOracle, compose_function
 from .embeddings import MeetEmbedding, extend
 from .metric import Dyadic, Exact, distance
 from .sequences import (
@@ -179,12 +179,10 @@ def tree_set(name: str) -> TreeSetOracle:
     return TREE_SETS[name]
 
 
-def tree_family(name: str) -> Callable[[int], TreeSetOracle]:
+def tree_family(name: str) -> TreeFamily:
     if name not in TREE_FAMILIES:
         raise ParseError(f"unknown tree family {name!r}; known: {sorted(TREE_FAMILIES)}")
-    fam = TREE_FAMILIES[name]
-    fam.family_name = name  # type: ignore[attr-defined]
-    return fam
+    return TreeFamily(name, TREE_FAMILIES[name])
 
 
 def space_function(name: str) -> SpaceFunction:

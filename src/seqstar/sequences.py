@@ -7,7 +7,7 @@ a prefix oracle.  All values are immutable; prefix oracles must be pure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 Seq = tuple[int, ...]
@@ -147,22 +147,26 @@ class PeriodicPoint(InfinitePoint):
         reps = k // len(self.period) + 1
         return self.head + (self.period * reps)[:k]
 
+    def _canonical(self) -> tuple[Seq, Seq]:
+        """The shortest head and the minimal period of the same sequence."""
+        head, period = self.head, self.period
+        n = len(period)
+        m = next(k for k in range(1, n + 1) if n % k == 0 and period == period[:k] * (n // k))
+        j = len(head)
+        while j and head[j - 1] == period[(j - 1 - len(head)) % m]:
+            j -= 1
+        r = (j - len(head)) % m
+        return head[:j], period[r:m] + period[:r]
+
     def __eq__(self, other):
         if not isinstance(other, PeriodicPoint):
             return NotImplemented
         if self.head == other.head and self.period == other.period:
             return True
-        # Different presentations can denote the same sequence; compare far
-        # enough to cover both heads plus a full common period cycle.
-        import math
-
-        n = max(len(self.head), len(other.head))
-        n += len(self.period) * len(other.period) // math.gcd(len(self.period), len(other.period))
-        return self._prefix(n) == other._prefix(n)
+        return self._canonical() == other._canonical()
 
     def __hash__(self):
-        # Hash on a normalized prefix long enough to separate common cases.
-        return hash(self._prefix(len(self.head) + 2 * len(self.period)))
+        return hash(self._canonical())
 
 
 def zeros() -> PeriodicPoint:
@@ -199,15 +203,6 @@ def cone_member(t: Seq, p: Point, budget: DepthBudget | None = None) -> bool:
     """True iff t is an initial segment of p."""
     r = p.restrict(len(t), budget)
     return not r.marked and r.seq == t if len(r.seq) == len(t) else False
-
-
-def point_length(p: Point) -> int | None:
-    """Length of the point, None meaning infinite."""
-    if isinstance(p, FinitePoint):
-        return len(p.seq)
-    if isinstance(p, AugmentedPoint):
-        return len(p.seq) + 1
-    return None
 
 
 def weight(t: Seq) -> int:
@@ -284,14 +279,6 @@ def canonical_index(t: Seq) -> int:
             idx += math.comb(rem - f + slots, slots)
         rem -= t[pos]
     return idx
-
-
-def enumerate_nodes() -> Iterator[Seq]:
-    """All of the tree in canonical order."""
-    n = 0
-    while True:
-        yield canonical_enumeration(n)
-        n += 1
 
 
 def nodes_in_range(depth: int, branch: int) -> list[Seq]:

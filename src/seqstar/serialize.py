@@ -11,7 +11,6 @@ from .metric import Dyadic
 from .sequences import (
     AugmentedPoint,
     FinitePoint,
-    InfinitePoint,
     PeriodicPoint,
     Point,
     Seq,
@@ -103,10 +102,8 @@ def table_from_json(obj: Any) -> dict[Seq, Seq]:
 
 def embedding_to_json(pi: MeetEmbedding, depth: int | None = None, branch: int | None = None) -> dict:
     """Emit a prefix embedding symbolically, anything else as a finite table."""
-    if pi.name.startswith("prefix"):
-        return {"kind": "prefix", "s": list(pi.root)}
-    if pi.name == "id":
-        return {"kind": "identity"}
+    if pi.stable == 0:
+        return {"kind": "prefix", "s": list(pi.root)} if pi.root else {"kind": "identity"}
     if depth is None or branch is None:
         raise ParseError("table serialization needs depth and branch bounds")
     from .sequences import nodes_in_range

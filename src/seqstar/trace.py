@@ -15,7 +15,6 @@ from .metric import Dyadic
 from .sequences import Seq
 from .serialize import (
     ParseError,
-    node_from_key,
     point_from_json,
     table_from_json,
     value_from_json,
@@ -32,6 +31,19 @@ class RecheckReport:
         self.ok = self.ok and other.ok
         self.checked += other.checked
         self.failures.extend(other.failures)
+
+
+class _Fields(dict):
+    """A JSON object whose missing fields raise ParseError naming their path."""
+
+    def __init__(self, obj: dict, path: str):
+        if not isinstance(obj, dict):
+            raise ParseError(f"{path} must be an object")
+        super().__init__(obj)
+        self.path = path
+
+    def __missing__(self, key: str):
+        raise ParseError(f"{self.path}.{key} is missing")
 
 
 def _table_range(table: dict[Seq, Seq]) -> tuple[int, int]:
@@ -135,9 +147,10 @@ def recheck(trace: dict) -> RecheckReport:
         return RecheckReport(False, 0, [f"cannot rebuild function: {e}"])
     table = table_from_json(trace.get("table", {}))
     report = RecheckReport(True, 0)
-    for cert in trace["certificates"]:
+    fields = _Fields(trace, "trace")
+    for i, cert in enumerate(trace["certificates"]):
         report.checked += 1
-        msg = _check_cert(cert, trace, phi, table)
+        msg = _check_cert(_Fields(cert, f"certificates[{i}]"), fields, phi, table)
         if msg is not None:
             report.ok = False
             report.failures.append(msg)

@@ -112,6 +112,18 @@ def test_embed_via_constant_function_mismatches():
     assert r.witness == AugmentedPoint((1,))
 
 
+def test_embed_via_pairs_equal_periodic_samples():
+    # One point written two ways; its image under the prefix embedding is
+    # the same periodic point, so both functions see a single output.
+    samples = [PeriodicPoint((), (0,)), PeriodicPoint((0, 0, 0), (0,))]
+    phi = space_function("compactify-identity")
+    rest = Const(SpaceTag.BaireStarMinusBaire)
+    for f in (DisjointUnion(Inclusion(SpaceTag.Baire, SpaceTag.Baire), rest),
+              DisjointUnion(Const(SpaceTag.Baire), rest)):
+        r = embed_via(MeetEmbedding.prefix((0,)), f, phi, samples, BUDGET)
+        assert isinstance(r, CertifiedPairing) and len(r.psi) == 1, (f, r)
+
+
 def test_descriptor_json_round_trips_by_equality():
     for f in catalog_b():
         d = descriptor_to_json(f)

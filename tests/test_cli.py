@@ -62,6 +62,17 @@ def test_embed_eval_and_preimage(capsys):
     assert got == {"cone": [1]}
 
 
+def test_embed_extend_periodic_is_exact(capsys):
+    got = run_json(capsys, "embed", "extend", "--pi", '{"kind":"prefix","s":[0]}',
+                   "--point", '{"kind":"periodic","head":[],"period":[2]}')
+    assert got == {"point": {"kind": "periodic", "head": [0], "period": [2]}}
+    u = [0] * 20
+    pi = {"kind": "table", "root": [], "entries": [[u[:-1], 0, u + [7]]]}
+    got = run_json(capsys, "embed", "extend", "--pi", json.dumps(pi),
+                   "--point", '{"kind":"periodic","head":[],"period":[0]}')
+    assert got == {"point": {"kind": "periodic", "head": u + [7], "period": [0]}}
+
+
 def test_catalog_counts(capsys):
     assert run_json(capsys, "catalog", "list", "--set", "a")["count"] == 24
     assert run_json(capsys, "catalog", "list", "--set", "b")["count"] == 27
@@ -87,6 +98,14 @@ def test_exit_code_parse_error(capsys):
     code, out, err = run(capsys, "dist", "--a", "nonsense", "--b", "[]")
     assert code == 2
     assert json.loads(err)["error"]["kind"] == "parse"
+
+
+def test_recheck_names_a_missing_certificate_field(capsys):
+    code, out, err = run(capsys, "construct", "recheck",
+                         "--trace", '{"certificates":[{"kind":"in_set"}]}')
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["kind"] == "parse" and "certificates[0].node" in error["message"]
 
 
 def test_exit_code_domain_error(capsys):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqstar.embeddings import (
     Agrees,
@@ -77,6 +78,33 @@ def test_validate_matches_meet_oracle_on_generated_candidates():
         assert isinstance(v, Valid) == isinstance(o, Agrees)
 
 
+def reference_meet_oracle(table, depth, branch):
+    """The all-pairs check written out: the first pair in canonical order
+    whose images collide or whose image meet is not the meet's image."""
+    nodes = nodes_in_range(depth, branch)
+    for a, s in enumerate(nodes):
+        for t in nodes[a + 1:]:
+            if table[s] == table[t] or meet(table[s], table[t]) != table[meet(s, t)]:
+                return Disagrees(s, t)
+    return Agrees()
+
+
+def test_meet_oracle_reports_the_reference_witness():
+    rng = random.Random(23)
+    disagreeing = 0
+    for k in range(90):
+        depth, branch = rng.randint(1, 3), rng.randint(1, 3)
+        table = random_child_map(rng, depth, branch)
+        for _ in range(k % 3):
+            t = rng.choice(list(table))
+            table[t] = rng.choice([table[t[:-1]], rng.choice(list(table.values())),
+                                   table[t] + (rng.randrange(3),)])
+        got = meet_preservation_oracle(table, depth, branch)
+        assert got == reference_meet_oracle(table, depth, branch), (table, got)
+        disagreeing += isinstance(got, Disagrees)
+    assert 20 < disagreeing < 70
+
+
 def test_meet_preservation_holds_for_valid_tables():
     rng = random.Random(5)
     for _ in range(10):
@@ -142,6 +170,35 @@ def test_extension_injective_on_samples():
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             assert imgs[i] != imgs[j]
+
+
+@st.composite
+def finite_embeddings(draw):
+    """A prefix, the identity, or a table with one extra entry below its
+    range, up to depth 24."""
+    kind = draw(st.sampled_from(["prefix", "identity", "table"]))
+    if kind == "prefix":
+        return MeetEmbedding.prefix(draw(st.lists(st.integers(0, 2), max_size=3)))
+    if kind == "identity":
+        return MeetEmbedding.identity()
+    depth = draw(st.integers(0, 2))
+    table = random_child_map(random.Random(draw(st.integers(0, 2**16))), depth, 2)
+    deep = (0,) * draw(st.integers(depth + 1, 24))
+    table[deep] = MeetEmbedding.from_table(table).apply(deep) + (7,)
+    return MeetEmbedding.from_table(table)
+
+
+@settings(deadline=None)
+@given(finite_embeddings(), st.one_of(st.none(), finite_embeddings()),
+       st.lists(st.integers(0, 2), max_size=4), st.lists(st.integers(0, 2), min_size=1, max_size=2))
+def test_periodic_extension_is_exact_and_matches_the_lazy_walk(pi, inner, head, period):
+    if inner is not None:
+        pi = pi.compose(inner)
+    p = PeriodicPoint(head, period)
+    exact = extend(pi, p)
+    assert isinstance(exact, PeriodicPoint)
+    lazy = extend(MeetEmbedding.from_node_map(pi.apply), p)
+    assert restrict(exact, 64).seq == restrict(lazy, 64).seq
 
 
 def test_composition_extension_law():

@@ -21,6 +21,22 @@ from seqstar.sequences import (
 )
 
 seqs = st.lists(st.integers(0, 3), max_size=4).map(tuple)
+periods = st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple)
+
+
+@given(seqs, periods, st.integers(0, 6), st.integers(1, 3), seqs, periods)
+def test_periodic_equality_and_hash(head, period, unroll, reps, head2, period2):
+    p = PeriodicPoint(head, period)
+    # The same sequence with `unroll` more coordinates in the head and the
+    # rotated period written `reps` times.
+    k = unroll % len(period)
+    q = PeriodicPoint(p.restrict(len(head) + unroll).seq, (period[k:] + period[:k]) * reps)
+    assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+    # 24 coordinates cover both heads and a common period, so they decide equality.
+    r = PeriodicPoint(head2, period2)
+    assert (p == r) == (p.restrict(24).seq == r.restrict(24).seq)
+    if p == r:
+        assert hash(p) == hash(r)
 
 
 def small_nodes(max_len=4, max_entry=3):

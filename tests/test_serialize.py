@@ -54,6 +54,13 @@ def test_embedding_round_trip_symbolic_and_table():
         assert again.apply(t) == pi.apply(t)
 
 
+def test_composed_embedding_round_trips_as_a_table():
+    table = MeetEmbedding.from_table({(0,): (1,), (1,): (0,)})
+    pi = MeetEmbedding.prefix((0,)).compose(table)
+    again = embedding_from_json(embedding_to_json(pi, 2, 2))
+    assert again.apply((0,)) == (0, 1)
+
+
 def test_parse_errors():
     with pytest.raises(ParseError):
         point_from_json({"kind": "wat"})
