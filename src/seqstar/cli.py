@@ -14,6 +14,7 @@ from . import catalog as cat
 from . import constructions as con
 from .embeddings import (
     Empty,
+    InvalidEmbedding,
     Valid,
     extend,
     preimage_cone,
@@ -30,6 +31,7 @@ from .sequences import (
     Point,
     Seq,
     meet,
+    nodes_in_range,
 )
 from .serialize import (
     ParseError,
@@ -139,7 +141,10 @@ def _cmd_embed(args) -> int:
     depth = args.depth or 3
     branch = args.branch or 3
     if args.action == "check":
-        v = validate(pi.apply, depth, branch)
+        try:
+            v = validate(pi.apply, depth, branch)
+        except InvalidEmbedding as e:  # apply checks validate's conditions in its order
+            v = e.violation
         if isinstance(v, Valid):
             return _emit({"valid": True})
         return _emit({"valid": False,
@@ -153,8 +158,6 @@ def _cmd_embed(args) -> int:
     if args.action == "compose":
         pi2 = embedding_from_json(_json_arg(args.pi2, "--pi2"))
         composed = pi.compose(pi2)
-        from .sequences import nodes_in_range
-
         table = {t: composed.apply(t) for t in nodes_in_range(depth, branch)}
         return _emit({"table": table_to_json(table)})
     if args.action == "preimage":
@@ -408,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as e:
         print(json.dumps({"error": {"kind": "parse", "message": str(e)}}), file=sys.stderr)
         return EXIT_PARSE
-    except DomainMismatch as e:
+    except (DomainMismatch, InvalidEmbedding) as e:
         print(json.dumps({"error": {"kind": "domain", "message": str(e)}}), file=sys.stderr)
         return EXIT_DOMAIN
     except BudgetExceeded as e:

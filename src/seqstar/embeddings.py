@@ -31,9 +31,12 @@ from .sequences import (
 
 
 class InvalidEmbedding(Exception):
-    def __init__(self, message: str, node: Seq | None = None):
+    """An image breaks a local condition; ``violation`` is what validate reports."""
+
+    def __init__(self, message: str, node: Seq | None = None, violation: "Violation | None" = None):
         super().__init__(message)
         self.node = node
+        self.violation = violation
 
 
 class ContainmentError(Exception):
@@ -73,7 +76,7 @@ class MeetEmbedding:
         if not (is_prefix(parent_img, img) and len(img) > len(parent_img)):
             raise InvalidEmbedding(
                 f"image {img} of {t} does not strictly extend parent image {parent_img}",
-                node=t,
+                node=t, violation=Violation(t[:-1], t[-1]),
             )
         forks = self._fork.setdefault(t[:-1], {})
         coord = img[len(parent_img)]
@@ -81,7 +84,7 @@ class MeetEmbedding:
         if other is not None and other != t[-1]:
             raise InvalidEmbedding(
                 f"siblings {other} and {t[-1]} of {t[:-1]} share divergence coordinate {coord}",
-                node=t[:-1],
+                node=t[:-1], violation=Violation(t[:-1], other, t[-1]),
             )
         forks[coord] = t[-1]
         self._memo[t] = img

@@ -30,9 +30,12 @@ class Dyadic:
     def __init__(self, num: int, exp: int = 0):
         if num < 0:
             raise ValueError("dyadics are nonnegative")
-        while num and num % 2 == 0 and exp > 0:
-            num //= 2
-            exp -= 1
+        if exp > 0 and num and not num & 1:
+            k = (num & -num).bit_length() - 1  # trailing zero bits
+            if k > exp:
+                k = exp
+            num >>= k
+            exp -= k
         if num == 0:
             exp = 0
         if exp < 0:

@@ -7,8 +7,9 @@ a prefix oracle.  All values are immutable; prefix oracles must be pure.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 Seq = tuple[int, ...]
 
@@ -210,50 +211,34 @@ def weight(t: Seq) -> int:
     return len(t) + sum(t)
 
 
-def _nodes_of_weight(w: int) -> Iterator[Seq]:
-    # Nodes of weight w in order: shorter first, then lexicographic.
-    if w == 0:
-        yield EMPTY
-        return
-    for length in range(1, w + 1):
-        rest = w - length  # sum of entries
-        yield from _compositions(length, rest)
-
-
-def _compositions(length: int, total: int) -> Iterator[Seq]:
-    if length == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for tail in _compositions(length - 1, total - first):
-            yield (first,) + tail
-
-
-_enum_cache: list[Seq] = []
-_index_cache: dict[Seq, int] = {}
-_enum_weight = -1
-
-
-def _extend_enum(upto_weight: int) -> None:
-    global _enum_weight
-    while _enum_weight < upto_weight:
-        _enum_weight += 1
-        for t in _nodes_of_weight(_enum_weight):
-            _index_cache[t] = len(_enum_cache)
-            _enum_cache.append(t)
-
-
 def canonical_enumeration(n: int) -> Seq:
-    """The fixed prefix-monotone bijection index -> node.
+    """The fixed prefix-monotone bijection index -> node, inverting
+    canonical_index in closed form by the same block counts.
 
     Nodes are ordered by weight, breaking ties by length (shorter first) and
     then lexicographically, so prefixes always precede their extensions.
     """
-    w = _enum_weight
-    while len(_enum_cache) <= n:
-        w += 1
-        _extend_enum(w)
-    return _enum_cache[n]
+    if n < 0:
+        raise ValueError("canonical indices are nonnegative")
+    if n == 0:
+        return EMPTY
+    w = n.bit_length()
+    r = n - (1 << (w - 1))  # rank within the block of weight w
+    L = 1
+    while r >= (c := math.comb(w - 1, L - 1)):
+        r -= c
+        L += 1
+    rem = w - L  # entry sum still to distribute
+    t: list[int] = []
+    for pos in range(L - 1):
+        slots = L - pos - 2  # free coordinates after this one (last is forced)
+        f = 0
+        while r >= (c := math.comb(rem - f + slots, slots)):
+            r -= c
+            f += 1
+        t.append(f)
+        rem -= f
+    return tuple(t) + (rem,)
 
 
 def canonical_index(t: Seq) -> int:
@@ -263,8 +248,6 @@ def canonical_index(t: Seq) -> int:
     weight w has size 2^(w-1); within the block, lengths come first
     (C(w-1, l-1) nodes of length l), then lexicographic rank.
     """
-    import math
-
     w = weight(t)
     if w == 0:
         return 0

@@ -2,25 +2,28 @@
 
 A basic set is a singleton tree node, a full cone, or a cone with the apex
 and finitely many child cones removed.  Finitely presented families of
-basic sets can be decided for covering by testing a finite profile-complete
-set of representative points.
+basic sets are decided for covering by the compactness recursion over the
+nodes they mention: a cone is covered by a member containing it whole, or
+by covering its apex, its augmented apex and each of its child cones.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterator
 
 from .sequences import (
     DEFAULT_BUDGET,
     AugmentedPoint,
+    BudgetExceeded,
     DepthBudget,
     FinitePoint,
-    InfinitePoint,
     PeriodicPoint,
     Point,
     Seq,
     cone_member,
     is_prefix,
+    nodes_in_range,
     weight,
 )
 from .metric import Dyadic, EpsilonSchedule, weight_schedule
@@ -64,49 +67,21 @@ def basic_member(B: BasicClopen, p: Point, budget: DepthBudget | None = None) ->
 
 
 def _mentioned_bounds(family: list[BasicClopen]) -> tuple[int, int]:
-    max_len = 0
-    max_entry = -1
-    for B in family:
-        t = B.t
-        max_len = max(max_len, len(t) + (1 if isinstance(B, ConeMinus) else 0))
-        for e in t:
-            max_entry = max(max_entry, e)
-        if isinstance(B, ConeMinus):
-            max_entry = max(max_entry, B.i)
-    return 1 + max_len, 1 + max_entry
-
-
-def _words_upto(depth: int, max_entry: int, base: Seq = ()) -> Iterator[Seq]:
-    # Extensions of base, canonical order (weight, then shorter, then lex).
-    pool = sorted(
-        (w for w in _all_words(depth, max_entry)),
-        key=lambda w: (weight(w), len(w), w),
-    )
-    for w in pool:
-        yield base + w
-
-
-def _all_words(depth: int, max_entry: int) -> Iterator[Seq]:
-    def rec(prefix: Seq):
-        yield prefix
-        if len(prefix) < depth:
-            for e in range(max_entry + 1):
-                yield from rec(prefix + (e,))
-
-    yield from rec(())
+    """1 + the longest mentioned node, 2 + the largest entry; ConeMinus(t, i) mentions t+(i,)."""
+    words = [B.t + (B.i,) if isinstance(B, ConeMinus) else B.t for B in family]
+    return 1 + max(map(len, words), default=0), 2 + max((e for w in words for e in w), default=-1)
 
 
 def representatives(family: list[BasicClopen], base: Seq = ()) -> Iterator[Point]:
     """Profile-complete finite set of test points for the family within the
     cone at ``base``: membership of any point of that cone in any member is
-    determined by its short, entry-clamped profile."""
-    D, M = _mentioned_bounds(family)
-    for u in _words_upto(D + 1, M, base):
-        yield FinitePoint(u)
-        yield AugmentedPoint(u)
-    for u in _words_upto(D + 1, M, base):
-        if len(u) == len(base) + D + 1:
-            yield PeriodicPoint(u, (0,))
+    determined by its short, entry-clamped profile.  An exhaustive
+    reference: no decision below uses it."""
+    D, letters = _mentioned_bounds(family)
+    words = nodes_in_range(D + 1, letters)
+    for w in words:
+        yield from (FinitePoint(base + w), AugmentedPoint(base + w))
+    yield from (PeriodicPoint(base + w, (0,)) for w in words if len(w) == D + 1)
 
 
 @dataclass(frozen=True)
@@ -123,46 +98,70 @@ def _covered(family: list[BasicClopen], p: Point) -> bool:
     return any(basic_member(B, p) for B in family)
 
 
+def _contains_cone(B: BasicClopen, t: Seq) -> bool:
+    if isinstance(B, Cone):
+        return is_prefix(B.t, t)
+    s = B.t
+    return isinstance(B, ConeMinus) and len(s) < len(t) and is_prefix(s, t) and t[len(s)] >= B.i
+
+
+def _cone_covered(family: list[BasicClopen], t: Seq, letters: int, memo: dict[Seq, bool]) -> bool:
+    """Whether the family covers the cone at t (memoised per node in memo).
+
+    A member containing the whole cone covers it; else, if no member mentions
+    t or a node below it, the finite point t is uncovered; else the finite
+    and augmented points t and each child cone t+(j,), j < letters, must be
+    covered, the last child standing for every unmentioned one."""
+    if t not in memo:
+        if any(_contains_cone(B, t) for B in family):
+            memo[t] = True
+        elif not any(is_prefix(t, B.t) for B in family):
+            memo[t] = False
+        else:
+            memo[t] = (_covered(family, FinitePoint(t)) and _covered(family, AugmentedPoint(t))
+                       and all(_cone_covered(family, t + (j,), letters, memo) for j in range(letters)))
+    return memo[t]
+
+
 def cover_decide(family: list[BasicClopen]) -> Covers | Counterexample:
     """Decide whether the family covers the whole space; the witness point is
-    the first uncovered representative in canonical order."""
-    for p in representatives(family):
-        if not _covered(family, p):
-            return Counterexample(p)
+    the first uncovered point in canonical order, finite before augmented at
+    each node.  Nodes are popped best-first by (weight, length, lex), and
+    child cones the family covers are never entered."""
+    letters = _mentioned_bounds(family)[1]
+    memo: dict[Seq, bool] = {}
+    heap = [] if _cone_covered(family, (), letters, memo) else [(0, 0, ())]
+    while heap:
+        _, _, t = heapq.heappop(heap)
+        for p in (FinitePoint(t), AugmentedPoint(t)):
+            if not _covered(family, p):
+                return Counterexample(p)
+        for c in (t + (j,) for j in range(letters)):
+            if not _cone_covered(family, c, letters, memo):
+                heapq.heappush(heap, (weight(c), len(c), c))
     return Covers()
 
 
 def covers_cone(family: list[BasicClopen], t: Seq) -> bool:
-    return all(_covered(family, p) for p in representatives(family, base=t))
+    return _cone_covered(family, t, _mentioned_bounds(family)[1], {})
 
 
 def uncovered_descent(family: list[BasicClopen]) -> Point:
-    """Replay the compactness recursion: starting at the root, walk into a
-    child cone that the family fails to cover, emitting the first concretely
-    uncovered point met along the way."""
-    if covers_cone(family, ()):
+    """Replay the compactness recursion: starting at the root, walk into the
+    first child cone that the family fails to cover, emitting the first
+    concretely uncovered point met along the way."""
+    letters = _mentioned_bounds(family)[1]
+    memo: dict[Seq, bool] = {}
+    if _cone_covered(family, (), letters, memo):
         raise ValueError("family covers the space; descent has no start")
-    D, _ = _mentioned_bounds(family)
     t: Seq = ()
-    while len(t) <= D + 1:
-        if not _covered(family, FinitePoint(t)):
-            return FinitePoint(t)
-        if not _covered(family, AugmentedPoint(t)):
-            return AugmentedPoint(t)
-        # Some member contains the augmented apex; it must be a ConeMinus at
-        # t, so the uncovered part hides in its removed child cones.
-        bound = max(
-            B.i
-            for B in family
-            if isinstance(B, ConeMinus) and B.t == t and basic_member(B, AugmentedPoint(t))
-        )
-        for j in range(bound):
-            if not covers_cone(family, t + (j,)):
-                t = t + (j,)
-                break
-        else:
-            raise AssertionError("no uncovered child cone despite uncovered parent")
-    return PeriodicPoint(t, (0,))
+    while True:
+        for p in (FinitePoint(t), AugmentedPoint(t)):
+            if not _covered(family, p):
+                return p
+        # The cone at t is uncovered but its apex points are not.
+        t = next(t + (j,) for j in range(letters)
+                 if not _cone_covered(family, t + (j,), letters, memo))
 
 
 def neighborhood_of(
@@ -181,15 +180,10 @@ def neighborhood_of(
         for i in range(budget.branch + 1):
             if schedule(t + (i,)) < eps:
                 return ConeMinus(t, i)
-        raise BudgetExceeded_from(budget)
+        raise BudgetExceeded(f"no small enough basic set within budget {budget}")
     for i in range(budget.depth + 1):
         prefix = p.restrict(i, budget).seq
         if schedule(prefix) < eps:
             return Cone(prefix)
-    raise BudgetExceeded_from(budget)
+    raise BudgetExceeded(f"no small enough basic set within budget {budget}")
 
-
-def BudgetExceeded_from(budget: DepthBudget):
-    from .sequences import BudgetExceeded
-
-    return BudgetExceeded(f"no small enough basic set within budget {budget}")

@@ -8,13 +8,16 @@ certifying comparison in exact dyadic arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .constructions import SpaceFunction
 from .embeddings import Agrees, Valid, meet_preservation_oracle, validate
 from .metric import Dyadic
-from .sequences import Seq
+from .sequences import AugmentedPoint, Seq
 from .serialize import (
     ParseError,
+    _seq,
+    dyadic_from_json,
     point_from_json,
     table_from_json,
     value_from_json,
@@ -42,8 +45,19 @@ class _Fields(dict):
         super().__init__(obj)
         self.path = path
 
-    def __missing__(self, key: str):
-        raise ParseError(f"{self.path}.{key} is missing")
+    def __missing__(self, key):
+        if isinstance(key, str):
+            raise ParseError(f"{self.path}.{key} is missing")
+        raise ParseError(f"{self.path} has no node {list(key)}")
+
+    def node(self, key: str) -> Seq:
+        return _seq(self[key], f"{self.path}.{key}")
+
+    def dyadic(self, key: str) -> Dyadic:
+        try:
+            return dyadic_from_json(self[key])
+        except ParseError as e:
+            raise ParseError(f"{self.path}.{key}: {e}") from e
 
 
 def _table_range(table: dict[Seq, Seq]) -> tuple[int, int]:
@@ -67,14 +81,14 @@ def _check_cert(cert: dict, trace: dict, phi: SpaceFunction | None,
     kind = cert.get("kind")
     if kind == "valid_table":
         depth, branch = _table_range(table)
-        v = validate(lambda t: table[t], depth, branch)
+        v = validate(table, depth, branch)
         return None if isinstance(v, Valid) else f"table validation failed: {v}"
     if kind == "meet_table":
         depth, branch = _table_range(table)
-        r = meet_preservation_oracle(lambda t: table[t], depth, branch)
+        r = meet_preservation_oracle(table, depth, branch)
         return None if isinstance(r, Agrees) else f"meet preservation failed: {r}"
     if kind == "in_set":
-        node = tuple(cert["node"])
+        node = cert.node("node")
         if "family_level" in cert:
             oracle = tree_family(trace["family"])(cert["family_level"])
         else:
@@ -85,15 +99,15 @@ def _check_cert(cert: dict, trace: dict, phi: SpaceFunction | None,
     if phi is None:
         return f"certificate {kind!r} needs a function but the trace names none"
     if kind == "diam_lt":
-        node = tuple(cert["node"])
-        eps = Dyadic.parse(cert["eps"])
+        node = cert.node("node")
+        eps = cert.dyadic("eps")
         got = phi.cone_diameter(node)
         return None if got < eps else f"diam_lt: cone_diameter({node}) = {got} not < {eps}"
     if kind in ("value_dist_lt", "value_dist_le", "value_dist_ge", "value_dist_gt"):
         a = phi.evaluate(point_from_json(cert["a"]))
         b = phi.evaluate(point_from_json(cert["b"]))
         d = phi.value_distance(a, b)
-        bound = Dyadic.parse(cert["bound"])
+        bound = cert.dyadic("bound")
         ok = {"value_dist_lt": d < bound, "value_dist_le": d <= bound,
               "value_dist_ge": d >= bound, "value_dist_gt": d > bound}[kind]
         return None if ok else f"{kind}: distance {d} vs bound {bound}"
@@ -101,7 +115,7 @@ def _check_cert(cert: dict, trace: dict, phi: SpaceFunction | None,
         v = phi.evaluate(point_from_json(cert["a"]))
         x = value_from_json(cert["x"])
         d = phi.value_distance(v, x)
-        bound = Dyadic.parse(cert["bound"])
+        bound = cert.dyadic("bound")
         if cert.get("op") == "lt":
             return None if d < bound else f"avoid_value: distance {d} not < {bound}"
         if bound.is_zero() or d < bound:
@@ -111,7 +125,7 @@ def _check_cert(cert: dict, trace: dict, phi: SpaceFunction | None,
         a = phi.evaluate(point_from_json(cert["a"]))
         b = phi.evaluate(point_from_json(cert["b"]))
         d = phi.value_distance(a, b)
-        bound = Dyadic.parse(cert["bound"])
+        bound = cert.dyadic("bound")
         if bound.is_zero() or d < bound:
             return f"avoid_pair: distance {d} below positive bound {bound}"
         return None
@@ -119,33 +133,32 @@ def _check_cert(cert: dict, trace: dict, phi: SpaceFunction | None,
         a = phi.evaluate(point_from_json(cert["a"]))
         b = phi.evaluate(point_from_json(cert["b"]))
         d = phi.value_distance(a, b)
-        lim = phi.cone_diameter(tuple(cert["na"])) + phi.cone_diameter(tuple(cert["nb"]))
+        lim = phi.cone_diameter(cert.node("na")) + phi.cone_diameter(cert.node("nb"))
         return None if d > lim else f"dist_gt_sum: {d} not > {lim}"
     if kind == "cone_value_diam_lt":
-        from .sequences import AugmentedPoint
-
-        eps = Dyadic.parse(cert["eps"])
-        members = [tuple(m) for m in cert["members"]]
+        eps = cert.dyadic("eps")
+        members = cert["members"]
+        if not isinstance(members, list):
+            raise ParseError(f"{cert.path}.members must be a list of nodes")
+        members = [_seq(m, f"{cert.path}.members") for m in members]
         vals = [phi.evaluate(AugmentedPoint(m)) for m in members]
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                d = phi.value_distance(vals[i], vals[j])
-                if not d < eps:
-                    return f"cone_value_diam_lt: {d} not < {eps} " \
-                           f"({members[i]} vs {members[j]})"
+        for (ma, va), (mb, vb) in combinations(zip(members, vals), 2):
+            d = phi.value_distance(va, vb)
+            if not d < eps:
+                return f"cone_value_diam_lt: {d} not < {eps} ({ma} vs {mb})"
         return None
     return f"unknown certificate kind {kind!r}"
 
 
 def recheck(trace: dict) -> RecheckReport:
     """Re-verify a construction trace from scratch; recurses into stages."""
-    if not isinstance(trace, dict) or "certificates" not in trace:
+    if not isinstance(trace, dict) or not isinstance(trace.get("certificates"), list):
         raise ParseError("trace must be an object with a 'certificates' list")
     try:
         phi = _resolve_function(trace)
     except ParseError as e:
         return RecheckReport(False, 0, [f"cannot rebuild function: {e}"])
-    table = table_from_json(trace.get("table", {}))
+    table = _Fields(table_from_json(trace.get("table", {})), "trace.table")
     report = RecheckReport(True, 0)
     fields = _Fields(trace, "trace")
     for i, cert in enumerate(trace["certificates"]):

@@ -108,6 +108,38 @@ def test_recheck_names_a_missing_certificate_field(capsys):
     assert error["kind"] == "parse" and "certificates[0].node" in error["message"]
 
 
+NOT_AN_EMBEDDING = '{"kind":"table","root":[],"entries":[[[],0,[]]]}'
+
+
+def test_embed_check_reports_a_table_that_is_not_an_embedding(capsys):
+    got = run_json(capsys, "embed", "check", "--pi", NOT_AN_EMBEDDING)
+    assert got == {"valid": False, "violation": {"i": 0, "j": None, "t": []}}
+
+
+@pytest.mark.parametrize("action", ["eval", "extend", "compose", "preimage"])
+def test_embed_actions_on_a_table_that_is_not_an_embedding(capsys, action):
+    code, out, err = run(capsys, "embed", action, "--pi", NOT_AN_EMBEDDING,
+                         "--pi2", '{"kind":"identity"}', "--t", "[0]",
+                         "--point", '{"kind":"finite","seq":[0]}')
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["kind"] == "domain"
+
+
+@pytest.mark.parametrize("trace, path", [
+    ('{"certificates":[{"kind":"diam_lt","node":[0],"eps":"x"}],'
+     '"function":{"name":"const-zero"}}', "certificates[0].eps"),
+    ('{"certificates":[{"kind":"valid_table"}],"table":{"":[],"1":[1]}}', "trace.table"),
+    ('{"certificates":[{"kind":"in_set","node":5,"oracle":"all","member":true}]}',
+     "certificates[0].node"),
+    ('{"certificates":5}', "'certificates' list"),
+], ids=["bad-dyadic", "table-missing-node", "node-not-a-list", "certificates-not-a-list"])
+def test_recheck_names_a_malformed_certificate_value(capsys, trace, path):
+    code, out, err = run(capsys, "construct", "recheck", "--trace", trace)
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["kind"] == "parse" and path in error["message"]
+
+
 def test_exit_code_domain_error(capsys):
     code, out, err = run(capsys, "catalog", "eval", "--set", "a", "--fn", "3",
                          "--point", '{"kind":"finite","seq":[1]}')

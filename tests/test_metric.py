@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -43,6 +44,33 @@ def test_dyadic_ordering_matches_rationals(n1, e1, n2, e2):
     a, b = Dyadic(n1, e1), Dyadic(n2, e2)
     assert (a < b) == (n1 * 2 ** e2 < n2 * 2 ** e1)
     assert (a == b) == (n1 * 2 ** e2 == n2 * 2 ** e1)
+
+
+def test_dyadic_normalises_a_long_run_of_zero_bits():
+    assert Dyadic(2 ** 20000, 20000) == Dyadic(1)
+    assert Dyadic(2 ** 20000, 30000) == Dyadic(1, 10000)
+
+
+def value(x):
+    # canonical form: an odd numerator, or an integer with exponent 0
+    assert x.num % 2 == 1 or x.exp == 0
+    return Fraction(x.num, 2 ** x.exp)
+
+
+dyadic_args = st.tuples(st.integers(0, 2 ** 80), st.integers(-8, 90))
+
+
+@given(dyadic_args, dyadic_args)
+def test_dyadic_agrees_with_fractions(a, b):
+    x, y = Dyadic(*a), Dyadic(*b)
+    fx, fy = Fraction(a[0]) / Fraction(2) ** a[1], Fraction(b[0]) / Fraction(2) ** b[1]
+    assert value(x) == fx and value(y) == fy
+    assert value(x + y) == fx + fy
+    assert value(x * y) == fx * fy
+    assert value(x.half()) == fx / 2
+    if fx >= fy:
+        assert value(x - y) == fx - fy
+    assert (x < y) == (fx < fy) and (x == y) == (fx == fy)
 
 
 def test_schedule_values():

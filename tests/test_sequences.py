@@ -156,3 +156,15 @@ def test_nodes_in_range_counts():
     # sorted the same way as the canonical enumeration
     keys = [(weight(t), len(t), t) for t in got]
     assert keys == sorted(keys)
+
+
+@given(st.integers(0, 2 ** 60))
+def test_index_and_enumeration_round_trip_at_large_indices(n):
+    t = canonical_enumeration(n)
+    assert canonical_index(t) == n
+    assert canonical_enumeration(canonical_index(t + (n % 7,))) == t + (n % 7,)
+
+
+def test_enumeration_rejects_negative_indices():
+    with pytest.raises(ValueError):
+        canonical_enumeration(-1)

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from seqstar.metric import Dyadic, weight_schedule
 from seqstar.sequences import AugmentedPoint, FinitePoint, PeriodicPoint
@@ -109,3 +110,67 @@ def test_descent_requires_non_cover():
 def test_covers_cone_restricted():
     assert covers_cone([Cone((1,))], (1,))
     assert not covers_cone([Singleton((1,))], (1,))
+
+
+# --- the compactness recursion against the exhaustive reference -------------
+
+
+def first_uncovered(family, base=()):
+    """The first representative of the cone at base that no member contains."""
+    return next((p for p in representatives(family, base)
+                 if not any(basic_member(B, p) for B in family)), None)
+
+
+def reference_descent(family):
+    """The descent walk tested on representatives: at each node, the children
+    below the largest ConeMinus index at that node, first uncovered one."""
+    if first_uncovered(family) is None:
+        raise ValueError("family covers the space; descent has no start")
+    D = 1 + max((len(B.t) + isinstance(B, ConeMinus) for B in family), default=0)
+    t = ()
+    while len(t) <= D + 1:
+        for p in (FinitePoint(t), AugmentedPoint(t)):
+            if not any(basic_member(B, p) for B in family):
+                return p
+        bound = max(B.i for B in family
+                    if isinstance(B, ConeMinus) and B.t == t and basic_member(B, AugmentedPoint(t)))
+        t = next(t + (j,) for j in range(bound) if first_uncovered(family, t + (j,)) is not None)
+    return PeriodicPoint(t, (0,))
+
+
+nodes = st.lists(st.integers(0, 2), max_size=3).map(tuple)
+basics = st.one_of(nodes.map(Singleton), nodes.map(Cone),
+                   st.builds(ConeMinus, nodes, st.integers(0, 3)))
+
+
+@settings(deadline=None)
+@given(st.lists(basics, max_size=8), nodes)
+# (0, 0) and (2,) are the uncovered finite points: the lighter one comes first
+@example([Cone((1,)), Singleton(()), ConeMinus((), 3), Singleton((0,)), ConeMinus((0,), 1),
+          ConeMinus((0, 0), 0), ConeMinus((2,), 0)], ())
+def test_cover_recursion_matches_the_exhaustive_reference(family, base):
+    want = first_uncovered(family)
+    assert cover_decide(family) == (Covers() if want is None else Counterexample(want))
+    assert covers_cone(family, base) == (first_uncovered(family, base) is None)
+    if want is not None:
+        assert uncovered_descent(family) == reference_descent(family)
+
+
+def zero_path_partition(depth):
+    """{t}, the cone at t minus its child cone at 0, and so on down the zero
+    path, closed by the cone at 0^depth."""
+    out = []
+    for k in range(depth):
+        out += [Singleton((0,) * k), ConeMinus((0,) * k, 1)]
+    return out + [Cone((0,) * depth)]
+
+
+def test_deep_partition_is_decided():
+    family = zero_path_partition(40)
+    assert len(family) == 81
+    assert cover_decide(family) == Covers()
+    assert covers_cone(family, ())
+    missing = family[:-1]
+    assert cover_decide(missing) == Counterexample(FinitePoint((0,) * 40))
+    assert uncovered_descent(missing) == FinitePoint((0,) * 40)
+    assert not covers_cone(missing, (0,) * 40)
