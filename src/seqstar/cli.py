@@ -20,7 +20,7 @@ from .embeddings import (
     preimage_cone,
     validate,
 )
-from .metric import Exact, SCHEDULES, distance
+from .metric import Exact, distance, weight_schedule
 from .sequences import (
     AugmentedPoint,
     BudgetExceeded,
@@ -35,6 +35,7 @@ from .sequences import (
 )
 from .serialize import (
     ParseError,
+    _seq,
     basic_from_json,
     dyadic_from_json,
     embedding_from_json,
@@ -48,33 +49,17 @@ from .trace import recheck
 EXIT_PARSE, EXIT_DOMAIN, EXIT_BUDGET = 2, 3, 4
 
 
-def _json_arg(text: str, what: str) -> Any:
+def _json_arg(text: str | None, what: str) -> Any:
+    if text is None:
+        raise ParseError(f"{what} is required")
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"bad JSON for {what}: {e}") from e
 
 
-def _seq_arg(text: str, what: str) -> Seq:
-    obj = _json_arg(text, what)
-    if not isinstance(obj, list) or not all(isinstance(x, int) and x >= 0 for x in obj):
-        raise ParseError(f"{what} must be a JSON list of nonnegative integers")
-    return tuple(obj)
-
-
-def _schedule(args):
-    name = getattr(args, "schedule", "weight") or "weight"
-    if name not in SCHEDULES:
-        raise ParseError(f"unknown schedule {name!r}; known: {sorted(SCHEDULES)}")
-    return SCHEDULES[name]()
-
-
-def _budget(args) -> DepthBudget:
-    return DepthBudget(
-        depth=getattr(args, "depth", None) or 64,
-        branch=getattr(args, "branch", None) or 64,
-        steps=getattr(args, "steps", None) or 100_000,
-    )
+def _seq_arg(text: str | None, what: str) -> Seq:
+    return _seq(_json_arg(text, what), what)
 
 
 def _emit(doc: dict) -> int:
@@ -88,7 +73,7 @@ def _emit(doc: dict) -> int:
 def _cmd_dist(args) -> int:
     a = point_from_json(_json_arg(args.a, "--a"))
     b = point_from_json(_json_arg(args.b, "--b"))
-    d = distance(a, b, _schedule(args), _budget(args))
+    d = distance(a, b, budget=DepthBudget(depth=args.depth))
     if isinstance(d, Exact):
         return _emit({"exact": str(d.value)})
     return _emit({"upper": str(d.upper)})
@@ -102,13 +87,13 @@ def _cmd_meet(args) -> int:
 
 def _cmd_eps(args) -> int:
     t = _seq_arg(args.t, "--t")
-    return _emit({"eps": str(_schedule(args)(t))})
+    return _emit({"eps": str(weight_schedule()(t))})
 
 
 def _cmd_member(args) -> int:
     B = basic_from_json(_json_arg(args.set, "--set"))
     p = point_from_json(_json_arg(args.point, "--point"))
-    return _emit({"member": basic_member(B, p, _budget(args))})
+    return _emit({"member": basic_member(B, p, DepthBudget(depth=args.depth))})
 
 
 def _parse_family(text: str):
@@ -136,10 +121,8 @@ def _cmd_descent(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    budget = _budget(args)
     pi = embedding_from_json(_json_arg(args.pi, "--pi"))
-    depth = args.depth or 3
-    branch = args.branch or 3
+    depth, branch = args.depth, args.branch
     if args.action == "check":
         try:
             v = validate(pi.apply, depth, branch)
@@ -154,27 +137,17 @@ def _cmd_embed(args) -> int:
         return _emit({"image": list(pi.apply(t))})
     if args.action == "extend":
         p = point_from_json(_json_arg(args.point, "--point"))
-        return _emit({"point": point_to_json(extend(pi, p, budget))})
+        return _emit({"point": point_to_json(extend(pi, p))})
     if args.action == "compose":
         pi2 = embedding_from_json(_json_arg(args.pi2, "--pi2"))
         composed = pi.compose(pi2)
         table = {t: composed.apply(t) for t in nodes_in_range(depth, branch)}
         return _emit({"table": table_to_json(table)})
-    if args.action == "preimage":
-        t = _seq_arg(args.t, "--t")
-        r = preimage_cone(pi, t, depth, branch)
-        if isinstance(r, Empty):
-            return _emit({"empty": True, "range_limited": r.range_limited})
-        return _emit({"cone": list(r.t)})
-    raise ParseError(f"unknown embed action {args.action!r}")
-
-
-def _catalog_set(name: str):
-    if name == "a":
-        return cat.catalog_a()
-    if name == "b":
-        return cat.catalog_b()
-    raise ParseError("--set must be 'a' or 'b'")
+    t = _seq_arg(args.t, "--t")
+    r = preimage_cone(pi, t, depth, branch)
+    if isinstance(r, Empty):
+        return _emit({"empty": True, "range_limited": r.range_limited})
+    return _emit({"cone": list(r.t)})
 
 
 def _tagged_to_json(v: cat.TaggedValue) -> dict:
@@ -217,41 +190,56 @@ def _domain_samples(f: cat.CatalogFunction, n: int, seed: int) -> list[Point]:
 
 
 def _cmd_catalog(args) -> int:
+    fns = cat.catalog_a() if args.set == "a" else cat.catalog_b()
     if args.action == "list":
-        fns = _catalog_set(args.set)
         return _emit({"count": len(fns),
                       "functions": [cat.descriptor_to_json(f) for f in fns]})
-    fns = _catalog_set(args.set)
     if not 0 <= args.fn < len(fns):
         raise ParseError(f"--fn must be in [0, {len(fns)})")
     f = fns[args.fn]
     if args.action == "eval":
         p = point_from_json(_json_arg(args.point, "--point"))
-        return _emit({"value": _tagged_to_json(cat.evaluate(f, p, _budget(args)))})
-    if args.action == "check-embed":
-        pi = embedding_from_json(_json_arg(args.pi, "--pi"))
-        from .registry import space_function
+        return _emit({"value": _tagged_to_json(cat.evaluate(f, p))})
+    pi = embedding_from_json(_json_arg(args.pi, "--pi"))
+    from .registry import space_function
 
-        phi = space_function("compactify-identity")
-        samples = _domain_samples(f, args.samples, args.seed)
-        r = cat.embed_via(pi, f, phi, samples, _budget(args))
-        if isinstance(r, cat.Mismatch):
-            return _emit({"pairing": False, "witness": point_to_json(r.witness)})
-        return _emit({"pairing": True, "samples": len(samples),
-                      "distinct_outputs": len(r.psi)})
-    raise ParseError(f"unknown catalog action {args.action!r}")
+    phi = space_function("compactify-identity")
+    samples = _domain_samples(f, args.samples, args.seed)
+    r = cat.embed_via(pi, f, phi, samples)
+    if isinstance(r, cat.Mismatch):
+        return _emit({"pairing": False, "witness": point_to_json(r.witness)})
+    return _emit({"pairing": True, "samples": len(samples),
+                  "distinct_outputs": len(r.psi)})
+
+
+def _root(args) -> Seq:
+    return _seq_arg(args.root, "--root")
+
+
+# op -> (the flag naming its registry oracle, the construction run on that
+# oracle, the parsed arguments and r = (table depth, table branch, budget))
+_CONSTRUCT = {
+    "ramsey": ("set", lambda o, a, *r: con.ramsey_split(o, *r)[1]),
+    "category": ("family", lambda o, a, *r: con.category_refine(o, _root(a), *r)),
+    "continuity": ("family", lambda o, a, *r: con.continuity_refine(o, _root(a), *r)),
+    "shrink": ("fn", lambda o, a, *r: con.diameter_shrink(o, weight_schedule(), *r)),
+    "stabilize": ("fn", lambda o, a, *r: con.children_stabilize(o, a.selector_budget, *r)[0]),
+    "disjointify": ("fn", lambda o, a, *r: con.disjointify(o, *r)),
+    "limit": ("fn", lambda o, a, *r: con.limit_refine(o, weight_schedule(), *r)[1]),
+    "eps-split": ("fn", lambda o, a, *r: con.epsilon_discrete_or_ball(
+        o, dyadic_from_json(a.eps), _root(a), *r)[1]),
+    "shrink-or-discrete": ("fn", lambda o, a, *r:
+                           con.shrink_or_discrete(o, weight_schedule(), *r)[1]),
+    "avoid": ("fn", lambda o, a, *r: con.point_avoid(o, dyadic_from_json(a.x), r[2])[1]),
+    "finite-avoid": ("fn", lambda o, a, *r: con.finite_avoid_or_converge(
+        o, [dyadic_from_json(s.strip()) for s in a.values.split(";")], _root(a), *r)[1]),
+    "discrete-refine": ("fn", lambda o, a, *r: con.discrete_refine(o, weight_schedule(), *r)[1]),
+    "classify": ("fn", lambda o, a, *r: con.classify_baire_function(o, *r)[1]),
+}
 
 
 def _cmd_construct(args) -> int:
-    from .registry import space_function, tree_family, tree_set
-
-    budget = _budget(args)
-    schedule = _schedule(args)
-    depth = args.depth or 2
-    branch = args.branch or 3
-    op = args.op
-
-    if op == "recheck":
+    if args.op == "recheck":
         text = args.trace
         if text == "-":
             text = sys.stdin.read()
@@ -264,79 +252,47 @@ def _cmd_construct(args) -> int:
         report = recheck(_json_arg(text, "trace"))
         return _emit({"ok": report.ok, "checked": report.checked,
                       "failures": report.failures})
+    from . import registry
 
-    if op == "ramsey":
-        side, pe = con.ramsey_split(tree_set(args.set), depth, branch, budget)
-        return _emit(pe.trace)
-    if op == "category":
-        pe = con.category_refine(tree_family(args.family),
-                                 _seq_arg(args.root, "--root"), depth, branch, budget)
-        return _emit(pe.trace)
-    if op == "continuity":
-        pe = con.continuity_refine(tree_family(args.family),
-                                   _seq_arg(args.root, "--root"), depth, branch, budget)
-        return _emit(pe.trace)
-
-    phi = space_function(args.fn)
-    if op == "shrink":
-        pe = con.diameter_shrink(phi, schedule, depth, branch, budget)
-        return _emit(pe.trace)
-    if op == "stabilize":
-        pe, _ = con.children_stabilize(phi, args.selector_budget, depth, branch, budget)
-        return _emit(pe.trace)
-    if op == "disjointify":
-        pe = con.disjointify(phi, depth, branch, budget)
-        return _emit(pe.trace)
-    if op == "limit":
-        _, pe = con.limit_refine(phi, schedule, depth, branch, budget)
-        return _emit(pe.trace)
-    if op == "eps-split":
-        eps = dyadic_from_json(args.eps)
-        _, pe = con.epsilon_discrete_or_ball(phi, eps, _seq_arg(args.root, "--root"),
-                                             depth, branch, budget)
-        return _emit(pe.trace)
-    if op == "shrink-or-discrete":
-        _, pe = con.shrink_or_discrete(phi, schedule, depth, branch, budget)
-        return _emit(pe.trace)
-    if op == "avoid":
-        x = dyadic_from_json(args.x)
-        _, pe = con.point_avoid(phi, x, budget)
-        return _emit(pe.trace)
-    if op == "finite-avoid":
-        F = [dyadic_from_json(s.strip()) for s in args.values.split(";")]
-        _, pe = con.finite_avoid_or_converge(phi, F, _seq_arg(args.root, "--root"),
-                                             depth, branch, budget)
-        return _emit(pe.trace)
-    if op == "discrete-refine":
-        _, pe = con.discrete_refine(phi, schedule, depth, branch, budget)
-        return _emit(pe.trace)
-    if op == "classify":
-        _, pe, _ = con.classify_baire_function(phi, depth, branch, budget)
-        return _emit(pe.trace)
-    raise ParseError(f"unknown construct op {op!r}")
+    flag, build = _CONSTRUCT[args.op]
+    lookup = {"set": registry.tree_set, "family": registry.tree_family,
+              "fn": registry.space_function}[flag]
+    pe = build(lookup(getattr(args, flag)), args, args.depth, args.branch,
+               DepthBudget(steps=args.steps))
+    return _emit(pe.trace)
 
 
 # --- argument parsing -----------------------------------------------------
 
 
-def _common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--branch", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--schedule", default="weight")
-    p.add_argument("--seed", type=int, default=0)
+class _Parser(argparse.ArgumentParser):
+    """Reports bad arguments as a ParseError, so they exit 2 with a JSON error."""
+
+    def error(self, message: str):
+        raise ParseError(message)
+
+
+def _positive(text: str) -> int:
+    if not (text.strip().isdecimal() and int(text) > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
+def _range_flags(p: argparse.ArgumentParser, depth: int, branch: int) -> None:
+    p.add_argument("--depth", type=_positive, default=depth, help="table depth")
+    p.add_argument("--branch", type=_positive, default=branch, help="table branching")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="seqstar",
-                                 description="Exact tools for the compactified "
-                                             "sequence space and its embedding calculus")
+    ap = _Parser(prog="seqstar",
+                 description="Exact tools for the compactified "
+                             "sequence space and its embedding calculus")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("dist", help="ultrametric distance between two points")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    _common(p)
+    p.add_argument("--depth", type=_positive, default=64, help="depth budget")
     p.set_defaults(run=_cmd_dist)
 
     p = sub.add_parser("meet", help="longest common prefix of two nodes")
@@ -346,49 +302,43 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eps", help="schedule radius at a node")
     p.add_argument("--t", required=True)
-    _common(p)
     p.set_defaults(run=_cmd_eps)
 
     p = sub.add_parser("member", help="membership of a point in a basic set")
     p.add_argument("--set", required=True)
     p.add_argument("--point", required=True)
-    _common(p)
+    p.add_argument("--depth", type=_positive, default=64, help="depth budget")
     p.set_defaults(run=_cmd_member)
 
     p = sub.add_parser("cover-check", help="decide whether basic sets cover the space")
     p.add_argument("--family", required=True)
-    _common(p)
     p.set_defaults(run=_cmd_cover_check)
 
     p = sub.add_parser("descent", help="walk to an uncovered point of a non-cover")
     p.add_argument("--family", required=True)
-    _common(p)
     p.set_defaults(run=_cmd_descent)
 
     p = sub.add_parser("embed", help="embedding calculus")
     p.add_argument("action", choices=["check", "eval", "extend", "compose", "preimage"])
     p.add_argument("--pi", required=True)
-    p.add_argument("--pi2")
-    p.add_argument("--t")
-    p.add_argument("--point")
-    _common(p)
+    p.add_argument("--pi2", help="second embedding (compose)")
+    p.add_argument("--t", help="node (eval, preimage)")
+    p.add_argument("--point", help="point (extend)")
+    _range_flags(p, 3, 3)
     p.set_defaults(run=_cmd_embed)
 
     p = sub.add_parser("catalog", help="the 24/27-element function catalogs")
     p.add_argument("action", choices=["list", "eval", "check-embed"])
-    p.add_argument("--set", default="a")
+    p.add_argument("--set", choices=["a", "b"], default="a")
     p.add_argument("--fn", type=int, default=0)
-    p.add_argument("--point")
-    p.add_argument("--pi")
-    p.add_argument("--samples", type=int, default=16)
-    _common(p)
+    p.add_argument("--point", help="point (eval)")
+    p.add_argument("--pi", help="embedding (check-embed)")
+    p.add_argument("--samples", type=_positive, default=16)
+    p.add_argument("--seed", type=int, default=0, help="sample seed (check-embed)")
     p.set_defaults(run=_cmd_catalog)
 
     p = sub.add_parser("construct", help="oracle-driven embedding constructions")
-    p.add_argument("op", choices=["ramsey", "category", "continuity", "shrink",
-                                  "stabilize", "disjointify", "limit", "eps-split",
-                                  "shrink-or-discrete", "avoid", "finite-avoid",
-                                  "discrete-refine", "classify", "recheck"])
+    p.add_argument("op", choices=[*_CONSTRUCT, "recheck"])
     p.add_argument("--set", default="all", help="tree set name (ramsey)")
     p.add_argument("--family", default="all-levels", help="tree family name")
     p.add_argument("--fn", default="const-zero", help="space function name")
@@ -398,15 +348,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", default="0", help="semicolon-separated dyadics")
     p.add_argument("--selector-budget", type=int, default=48)
     p.add_argument("--trace", default="-", help="trace file, inline JSON, or - for stdin")
-    _common(p)
+    _range_flags(p, 2, 3)
+    p.add_argument("--steps", type=_positive, default=100_000, help="search step budget")
     p.set_defaults(run=_cmd_construct)
 
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.run(args)
     except ParseError as e:
         print(json.dumps({"error": {"kind": "parse", "message": str(e)}}), file=sys.stderr)

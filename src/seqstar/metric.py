@@ -194,9 +194,6 @@ def weight_schedule() -> EpsilonSchedule:
     return EpsilonSchedule("weight", lambda t: Dyadic(1, weight(t)))
 
 
-SCHEDULES = {"weight": weight_schedule}
-
-
 def epsilon(schedule: EpsilonSchedule, t: Seq) -> Dyadic:
     return schedule(t)
 

@@ -71,7 +71,14 @@ def _dy(n: int) -> Dyadic:
     return Dyadic(n)
 
 
+def _check_kind(a, b, kind: type) -> None:
+    if not (isinstance(a, kind) and isinstance(b, kind)):
+        raise DomainMismatch(f"value distance needs two {kind.__name__} values, "
+                             f"got {a!r} and {b!r}")
+
+
 def _abs_diff(a: Dyadic, b: Dyadic) -> Dyadic:
+    _check_kind(a, b, Dyadic)
     return a.abs_diff(b)
 
 
@@ -79,6 +86,7 @@ def _split_metric(a: Point, b: Point) -> Dyadic:
     """The classical first-difference ultrametric 2^-(meet length)."""
     from .sequences import Undetermined, points_definitely_equal
 
+    _check_kind(a, b, Point)
     if points_definitely_equal(a, b):
         return Dyadic.zero()
     i = split_index(a, b)
@@ -88,6 +96,7 @@ def _split_metric(a: Point, b: Point) -> Dyadic:
 
 
 def _module_metric(a: Point, b: Point) -> Dyadic:
+    _check_kind(a, b, Point)
     d = distance(a, b)
     return d.value if isinstance(d, Exact) else d.upper
 
@@ -173,22 +182,22 @@ FUNCTIONS: dict[str, SpaceFunction] = {
 }
 
 
+def _lookup(table: dict, name, what: str):
+    if not isinstance(name, str) or name not in table:
+        raise ParseError(f"unknown {what} {name!r}; known: {sorted(table)}")
+    return table[name]
+
+
 def tree_set(name: str) -> TreeSetOracle:
-    if name not in TREE_SETS:
-        raise ParseError(f"unknown tree set {name!r}; known: {sorted(TREE_SETS)}")
-    return TREE_SETS[name]
+    return _lookup(TREE_SETS, name, "tree set")
 
 
 def tree_family(name: str) -> TreeFamily:
-    if name not in TREE_FAMILIES:
-        raise ParseError(f"unknown tree family {name!r}; known: {sorted(TREE_FAMILIES)}")
-    return TreeFamily(name, TREE_FAMILIES[name])
+    return TreeFamily(name, _lookup(TREE_FAMILIES, name, "tree family"))
 
 
 def space_function(name: str) -> SpaceFunction:
-    if name not in FUNCTIONS:
-        raise ParseError(f"unknown function {name!r}; known: {sorted(FUNCTIONS)}")
-    return FUNCTIONS[name]
+    return _lookup(FUNCTIONS, name, "function")
 
 
 def build_function(spec: dict) -> SpaceFunction:

@@ -48,7 +48,10 @@ def point_from_json(obj: Any) -> Point:
     if kind == "augmented":
         return AugmentedPoint(_seq(obj.get("seq"), "seq"))
     if kind == "periodic":
-        return PeriodicPoint(_seq(obj.get("head", []), "head"), _seq(obj.get("period"), "period"))
+        period = _seq(obj.get("period"), "period")
+        if not period:
+            raise ParseError("period must be nonempty")
+        return PeriodicPoint(_seq(obj.get("head", []), "head"), period)
     raise ParseError(f"unknown point kind {kind!r}")
 
 
@@ -132,8 +135,8 @@ def embedding_from_json(obj: Any) -> MeetEmbedding:
             if not (isinstance(e, list) and len(e) == 3):
                 raise ParseError("table entry must be [t, i, image]")
             t, i, img = e
-            if not isinstance(i, int):
-                raise ParseError("table entry child index must be an integer")
+            if not isinstance(i, int) or i < 0:
+                raise ParseError("table entry child index must be a nonnegative integer")
             table[_seq(t, "entry node") + (i,)] = _seq(img, "entry image")
         return MeetEmbedding.from_table(table)
     raise ParseError(f"unknown embedding kind {kind!r}")

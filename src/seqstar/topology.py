@@ -111,16 +111,31 @@ def _cone_covered(family: list[BasicClopen], t: Seq, letters: int, memo: dict[Se
     A member containing the whole cone covers it; else, if no member mentions
     t or a node below it, the finite point t is uncovered; else the finite
     and augmented points t and each child cone t+(j,), j < letters, must be
-    covered, the last child standing for every unmentioned one."""
-    if t not in memo:
-        if any(_contains_cone(B, t) for B in family):
-            memo[t] = True
-        elif not any(is_prefix(t, B.t) for B in family):
-            memo[t] = False
+    covered, the last child standing for every unmentioned one.  Children
+    are decided in order on an explicit stack, stopping at the first
+    uncovered one, so deep families need no recursion."""
+    path: list[tuple[Seq, int]] = []  # undecided ancestors and the child being decided
+    while True:
+        if t in memo:
+            covered = memo[t]
+        elif any(_contains_cone(B, t) for B in family):
+            covered = memo[t] = True
+        elif (not any(is_prefix(t, B.t) for B in family)
+              or not _covered(family, FinitePoint(t)) or not _covered(family, AugmentedPoint(t))):
+            covered = memo[t] = False
         else:
-            memo[t] = (_covered(family, FinitePoint(t)) and _covered(family, AugmentedPoint(t))
-                       and all(_cone_covered(family, t + (j,), letters, memo) for j in range(letters)))
-    return memo[t]
+            path.append((t, 0))
+            t += (0,)
+            continue
+        while path:  # pass the verdict up until an ancestor has a child left to decide
+            parent, j = path.pop()
+            if covered and j + 1 < letters:
+                path.append((parent, j + 1))
+                t = parent + (j + 1,)
+                break
+            memo[parent] = covered
+        else:
+            return covered
 
 
 def cover_decide(family: list[BasicClopen]) -> Covers | Counterexample:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import Any, Callable
 
 from .constructions import SpaceFunction
 from .embeddings import Agrees, Valid, meet_preservation_oracle, validate
@@ -53,11 +54,22 @@ class _Fields(dict):
     def node(self, key: str) -> Seq:
         return _seq(self[key], f"{self.path}.{key}")
 
-    def dyadic(self, key: str) -> Dyadic:
+    def read(self, key: str, parse: Callable[[Any], Any]) -> Any:
         try:
-            return dyadic_from_json(self[key])
+            return parse(self[key])
         except ParseError as e:
             raise ParseError(f"{self.path}.{key}: {e}") from e
+
+    def dyadic(self, key: str) -> Dyadic:
+        return self.read(key, dyadic_from_json)
+
+
+def _typed(kind: type, what: str) -> Callable[[Any], Any]:
+    def parse(v):
+        if not isinstance(v, kind):
+            raise ParseError(f"must be {what}")
+        return v
+    return parse
 
 
 def _table_range(table: dict[Seq, Seq]) -> tuple[int, int]:
@@ -90,31 +102,34 @@ def _check_cert(cert: dict, trace: dict, phi: SpaceFunction | None,
     if kind == "in_set":
         node = cert.node("node")
         if "family_level" in cert:
-            oracle = tree_family(trace["family"])(cert["family_level"])
+            family = tree_family(trace.read("family", _typed(str, "a tree family name")))
+            oracle = family(cert.read("family_level", _typed(int, "an integer level")))
         else:
-            oracle = tree_set(cert["oracle"])
+            oracle = tree_set(cert.read("oracle", _typed(str, "a tree set name")))
         got = oracle.member(node)
         want = cert["member"]
         return None if got == want else f"in_set: member({node}) = {got}, recorded {want}"
     if phi is None:
         return f"certificate {kind!r} needs a function but the trace names none"
+    if kind in ("diam_lt", "dist_gt_sum") and phi.cone_diameter is None:
+        return f"certificate {kind!r} needs a cone_diameter oracle, which {phi.name} lacks"
+
+    def value_at(key: str):
+        return phi.evaluate(cert.read(key, point_from_json))
+
     if kind == "diam_lt":
         node = cert.node("node")
         eps = cert.dyadic("eps")
         got = phi.cone_diameter(node)
         return None if got < eps else f"diam_lt: cone_diameter({node}) = {got} not < {eps}"
     if kind in ("value_dist_lt", "value_dist_le", "value_dist_ge", "value_dist_gt"):
-        a = phi.evaluate(point_from_json(cert["a"]))
-        b = phi.evaluate(point_from_json(cert["b"]))
-        d = phi.value_distance(a, b)
+        d = phi.value_distance(value_at("a"), value_at("b"))
         bound = cert.dyadic("bound")
         ok = {"value_dist_lt": d < bound, "value_dist_le": d <= bound,
               "value_dist_ge": d >= bound, "value_dist_gt": d > bound}[kind]
         return None if ok else f"{kind}: distance {d} vs bound {bound}"
     if kind == "avoid_value":
-        v = phi.evaluate(point_from_json(cert["a"]))
-        x = value_from_json(cert["x"])
-        d = phi.value_distance(v, x)
+        d = phi.value_distance(value_at("a"), cert.read("x", value_from_json))
         bound = cert.dyadic("bound")
         if cert.get("op") == "lt":
             return None if d < bound else f"avoid_value: distance {d} not < {bound}"
@@ -122,17 +137,13 @@ def _check_cert(cert: dict, trace: dict, phi: SpaceFunction | None,
             return f"avoid_value: distance {d} below positive bound {bound}"
         return None
     if kind == "avoid_pair":
-        a = phi.evaluate(point_from_json(cert["a"]))
-        b = phi.evaluate(point_from_json(cert["b"]))
-        d = phi.value_distance(a, b)
+        d = phi.value_distance(value_at("a"), value_at("b"))
         bound = cert.dyadic("bound")
         if bound.is_zero() or d < bound:
             return f"avoid_pair: distance {d} below positive bound {bound}"
         return None
     if kind == "dist_gt_sum":
-        a = phi.evaluate(point_from_json(cert["a"]))
-        b = phi.evaluate(point_from_json(cert["b"]))
-        d = phi.value_distance(a, b)
+        d = phi.value_distance(value_at("a"), value_at("b"))
         lim = phi.cone_diameter(cert.node("na")) + phi.cone_diameter(cert.node("nb"))
         return None if d > lim else f"dist_gt_sum: {d} not > {lim}"
     if kind == "cone_value_diam_lt":
@@ -151,22 +162,31 @@ def _check_cert(cert: dict, trace: dict, phi: SpaceFunction | None,
 
 
 def recheck(trace: dict) -> RecheckReport:
-    """Re-verify a construction trace from scratch; recurses into stages."""
+    """Re-verify a construction trace from scratch; recurses into stages.
+    A malformed field raises ParseError naming its path, e.g.
+    ``trace.stages[0].certificates[1].node``."""
+    return _recheck(trace, "trace")
+
+
+def _recheck(trace: dict, path: str) -> RecheckReport:
     if not isinstance(trace, dict) or not isinstance(trace.get("certificates"), list):
-        raise ParseError("trace must be an object with a 'certificates' list")
+        raise ParseError(f"{path} must be an object with a 'certificates' list")
+    stages = trace.get("stages", [])
+    if not isinstance(stages, list):
+        raise ParseError(f"{path}.stages must be a list")
     try:
         phi = _resolve_function(trace)
     except ParseError as e:
         return RecheckReport(False, 0, [f"cannot rebuild function: {e}"])
-    table = _Fields(table_from_json(trace.get("table", {})), "trace.table")
+    table = _Fields(table_from_json(trace.get("table", {})), f"{path}.table")
     report = RecheckReport(True, 0)
-    fields = _Fields(trace, "trace")
+    fields = _Fields(trace, path)
     for i, cert in enumerate(trace["certificates"]):
         report.checked += 1
-        msg = _check_cert(_Fields(cert, f"certificates[{i}]"), fields, phi, table)
+        msg = _check_cert(_Fields(cert, f"{path}.certificates[{i}]"), fields, phi, table)
         if msg is not None:
             report.ok = False
             report.failures.append(msg)
-    for stage in trace.get("stages", []):
-        report.merge(recheck(stage))
+    for i, stage in enumerate(stages):
+        report.merge(_recheck(stage, f"{path}.stages[{i}]"))
     return report

@@ -1,8 +1,14 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
+from seqstar import constructions as con
 from seqstar.cli import main
+from seqstar.registry import space_function
+from seqstar.sequences import DepthBudget
 
 
 def run(capsys, *argv):
@@ -132,7 +138,23 @@ def test_embed_actions_on_a_table_that_is_not_an_embedding(capsys, action):
     ('{"certificates":[{"kind":"in_set","node":5,"oracle":"all","member":true}]}',
      "certificates[0].node"),
     ('{"certificates":5}', "'certificates' list"),
-], ids=["bad-dyadic", "table-missing-node", "node-not-a-list", "certificates-not-a-list"])
+    ('{"certificates":[],"stages":5}', "trace.stages"),
+    ('{"certificates":[],"stages":[5]}', "stages[0]"),
+    ('{"certificates":[{"kind":"in_set","node":[0],"family_level":"x","member":true}],'
+     '"family":"length-at-least"}', "certificates[0].family_level"),
+    ('{"certificates":[{"kind":"in_set","node":[0],"oracle":["all"],"member":true}]}',
+     "certificates[0].oracle"),
+    ('{"certificates":[{"kind":"value_dist_lt","a":5,"b":{"kind":"finite","seq":[]},'
+     '"bound":"1"}],"function":{"name":"entry-sum"}}', "certificates[0].a"),
+    ('{"certificates":[{"kind":"avoid_pair","a":{"kind":"finite","seq":[]},'
+     '"b":{"kind":"periodic","period":[]},"bound":"1"}],"function":{"name":"entry-sum"}}',
+     "certificates[0].b"),
+    ('{"certificates":[{"kind":"avoid_value","a":{"kind":"finite","seq":[]},"x":{},'
+     '"bound":"1"}],"function":{"name":"entry-sum"}}', "certificates[0].x"),
+], ids=["bad-dyadic", "table-missing-node", "node-not-a-list", "certificates-not-a-list",
+        "stages-not-a-list", "stage-not-an-object", "family-level-not-an-integer",
+        "oracle-not-a-name", "point-a-not-an-object", "point-b-empty-period",
+        "value-x-without-kind"])
 def test_recheck_names_a_malformed_certificate_value(capsys, trace, path):
     code, out, err = run(capsys, "construct", "recheck", "--trace", trace)
     assert code == 2
@@ -156,3 +178,97 @@ def test_exit_code_budget_error(capsys):
 def test_unknown_registry_name(capsys):
     code, out, err = run(capsys, "construct", "shrink", "--fn", "no-such-fn")
     assert code == 2
+
+
+@pytest.mark.parametrize("kind, fields", [
+    ("diam_lt", '"node":[0],"eps":"1"'),
+    ("dist_gt_sum", '"a":{"kind":"finite","seq":[]},"b":{"kind":"finite","seq":[1]},'
+                    '"na":[],"nb":[1]'),
+], ids=["diam_lt", "dist_gt_sum"])
+def test_recheck_fails_a_certificate_whose_function_has_no_cone_diameter(capsys, kind, fields):
+    trace = f'{{"certificates":[{{"kind":"{kind}",{fields}}}],"function":{{"name":"entry-sum"}}}}'
+    got = run_json(capsys, "construct", "recheck", "--trace", trace)
+    assert got["ok"] is False and got["checked"] == 1
+    assert "cone_diameter" in got["failures"][0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "avoid", "--fn", "baire-identity"],
+    ["construct", "finite-avoid", "--fn", "compactify-identity"],
+    ["construct", "recheck", "--trace",
+     '{"certificates":[{"kind":"avoid_value","a":{"kind":"finite","seq":[]},'
+     '"x":{"kind":"point","point":{"kind":"finite","seq":[]}},"bound":"1"}],'
+     '"function":{"name":"entry-sum"}}'],
+], ids=["avoid-point-valued", "finite-avoid-point-valued", "recheck-point-against-dyadic"])
+def test_a_value_of_the_wrong_kind_is_a_domain_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["kind"] == "domain"
+
+
+FINITE_ROOT = '{"kind":"finite","seq":[]}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["cover-check", "--family", "[]", "--seed", "3"],
+    ["eps", "--t", "[]", "--schedule", "weight"],
+    ["meet", "--s", "[]", "--t", "[]", "--depth", "3"],
+    ["embed", "eval", "--pi", '{"kind":"identity"}'],
+    ["embed", "compose", "--pi", '{"kind":"identity"}'],
+    ["catalog", "eval", "--set", "a", "--fn", "0"],
+    ["catalog", "list", "--set", "c"],
+    ["dist", "--a", FINITE_ROOT, "--b", FINITE_ROOT, "--depth", "0"],
+    ["member", "--set", '{"kind":"cone","t":[]}', "--point", FINITE_ROOT, "--depth", "-1"],
+    ["embed", "check", "--pi", '{"kind":"identity"}', "--branch", "x"],
+    ["construct", "shrink", "--steps", "0"],
+    ["catalog", "check-embed", "--fn", "9", "--pi", '{"kind":"identity"}', "--samples", "0"],
+    ["construct", "no-such-op"],
+    ["dist", "--a", '{"kind":"periodic","head":[],"period":[]}', "--b", FINITE_ROOT],
+    ["embed", "check", "--pi", '{"kind":"table","root":[],"entries":[[[],-1,[0]]]}'],
+    [],
+], ids=["flag-not-read", "schedule-removed", "depth-not-read", "eval-without-t",
+        "compose-without-pi2", "catalog-eval-without-point", "unknown-catalog",
+        "depth-zero", "depth-negative", "branch-not-a-number", "steps-zero", "samples-zero",
+        "unknown-op",
+        "empty-period", "negative-child-index", "no-command"])
+def test_bad_arguments_are_json_parse_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["kind"] == "parse"
+
+
+def test_construct_depth_is_the_table_depth_only(capsys):
+    got = run_json(capsys, "construct", "disjointify", "--fn", "baire-identity", "--depth", "2")
+    pe = con.disjointify(space_function("baire-identity"), 2, 3, DepthBudget())
+    assert got == json.loads(json.dumps(pe.trace))
+
+
+def _readme_cli_examples():
+    """(argv, expected output or None) for each `seqstar ...` line of the README's
+    CLI block, a `# -> ...` line after it giving its output, `...` a wildcard."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("seqstar "):
+            examples.append([shlex.split(line, comments=True)[1:], None])
+        elif line.startswith("# -> "):
+            examples[-1][1] = line[len("# -> "):]
+    return examples
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    examples = _readme_cli_examples()
+    assert len(examples) >= 15
+    for argv, expected in examples:
+        target = None
+        if ">" in argv:
+            argv, target = argv[:argv.index(">")], argv[argv.index(">") + 1]
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        if target is not None:
+            Path(target).write_text(out, encoding="utf-8")
+        if expected is not None:
+            pattern = ".*".join(map(re.escape, expected.split("...")))
+            assert re.fullmatch(pattern, out), (argv, out)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from seqstar.metric import Bounded, Dyadic, Exact, SCHEDULES, ball_member, distance, epsilon, weight_schedule
+from seqstar.metric import Bounded, Dyadic, Exact, ball_member, distance, epsilon, weight_schedule
 from seqstar.sequences import AugmentedPoint, DepthBudget, FinitePoint, InfinitePoint, PeriodicPoint
 
 SCHED = weight_schedule()
@@ -77,7 +77,6 @@ def test_schedule_values():
     assert epsilon(SCHED, ()) == Dyadic(1, 0)
     assert epsilon(SCHED, (0,)) == Dyadic(1, 1)
     assert epsilon(SCHED, (0, 2)) == Dyadic(1, 4)
-    assert "weight" in SCHEDULES
 
 
 # --- distances ------------------------------------------------------------

@@ -166,11 +166,13 @@ def zero_path_partition(depth):
 
 
 def test_deep_partition_is_decided():
-    family = zero_path_partition(40)
-    assert len(family) == 81
-    assert cover_decide(family) == Covers()
-    assert covers_cone(family, ())
-    missing = family[:-1]
-    assert cover_decide(missing) == Counterexample(FinitePoint((0,) * 40))
-    assert uncovered_descent(missing) == FinitePoint((0,) * 40)
-    assert not covers_cone(missing, (0,) * 40)
+    # depth 400 is past the interpreter's recursion limit for a recursive descent
+    for depth in (40, 400):
+        family = zero_path_partition(depth)
+        assert len(family) == 2 * depth + 1
+        assert cover_decide(family) == Covers()
+        assert covers_cone(family, ())
+        missing = family[:-1]
+        assert cover_decide(missing) == Counterexample(FinitePoint((0,) * depth))
+        assert uncovered_descent(missing) == FinitePoint((0,) * depth)
+        assert not covers_cone(missing, (0,) * depth)
