@@ -12,6 +12,7 @@ failing with BudgetExceeded when the allowance runs out.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
@@ -223,7 +224,8 @@ class _SearchFailed(Exception):
 _LOCAL_CAP = 600  # candidates examined per single node search
 
 
-def _word_pool(branch: int) -> list[Seq]:
+@functools.lru_cache(maxsize=8)
+def _word_pool(branch: int) -> tuple[Seq, ...]:
     """Candidate extension words in canonical order (weight, length, lex).
 
     All short words over a small alphabet, plus deep all-zero padding words
@@ -232,7 +234,7 @@ def _word_pool(branch: int) -> list[Seq]:
     b = min(max(branch, 4), 6)
     words = set(nodes_in_range(4, b))
     words.update((0,) * k for k in range(5, 20))
-    return sorted(words, key=lambda w: (weight(w), len(w), w))
+    return tuple(sorted(words, key=lambda w: (weight(w), len(w), w)))
 
 
 def _find(pred: Callable[[Seq], bool], candidates, steps: _Steps) -> Seq:
@@ -261,7 +263,7 @@ def _build_table(
 def _refine(
     pred: Callable[[Seq, Seq], bool],
     roots: Iterable[Seq],
-    pool: list[Seq],
+    pool: Sequence[Seq],
     steps: _Steps,
     out_depth: int,
     out_branch: int,
@@ -295,7 +297,7 @@ def _refine(
 _TAIL = 16  # child whose augmented value stands in for the limit of a node's values
 
 
-def _converging_table(phi: SpaceFunction, schedule: EpsilonSchedule, pool: list[Seq],
+def _converging_table(phi: SpaceFunction, schedule: EpsilonSchedule, pool: Sequence[Seq],
                       steps: _Steps, out_depth: int, out_branch: int) -> tuple[dict, Point]:
     """Table whose augmented values lie within half the schedule of one
     limit, the value at the root image's child _TAIL; also that point."""

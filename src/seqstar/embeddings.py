@@ -4,13 +4,13 @@ An embedding is presented by its root image and a successor rule and is
 evaluated lazily with an internal memo.  Two local conditions are enforced
 as values are computed: each child image strictly extends the parent image,
 and sibling images diverge at the parent image's length.  Together these
-are equivalent to meet preservation plus injectivity, which the brute-force
-oracle below checks independently.
+are equivalent to meet preservation plus injectivity, which the
+meet-preservation oracle below checks independently, judging every pair of
+nodes at its meet.
 """
 from __future__ import annotations
 
 import functools
-from array import array
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -25,7 +25,6 @@ from .sequences import (
     Point,
     Seq,
     is_prefix,
-    meet,
     nodes_in_range,
 )
 
@@ -185,33 +184,78 @@ class Disagrees:
     t: Seq
 
 
+_ANY = object()  # the oracle's key for images of every kind
+
+
 def meet_preservation_oracle(
     candidate: Mapping[Seq, Seq] | Callable[[Seq], Seq], depth: int, branch: int
 ) -> Agrees | Disagrees:
-    """Independent brute-force check: meets are preserved and the map is
-    injective over every pair of nodes in range."""
+    """Independent check that meets are preserved and the map is injective
+    over every pair of nodes in range.
+
+    Each pair s < t has exactly one meet r, so the pairs are judged at their
+    meet.  Below r they fall in groups: r itself and one group per child
+    coordinate of r.  A pair from two groups is good iff both images extend
+    pi(r) and differ at index |pi(r)|, a missing coordinate counting as a
+    value of its own.  So one backward pass over r's members, keeping per
+    coordinate the two earliest entries of distinct groups, finds r's first
+    bad pair in canonical order.  The witness is the least such pair over
+    all r, ordered by the canonical positions of its first node and then its
+    second: the first bad pair of the all-pairs scan.
+    """
     get = candidate.__getitem__ if isinstance(candidate, Mapping) else candidate
     nodes = nodes_in_range(depth, branch)
     imgs = [tuple(get(t)) for t in nodes]
-    for a, row in enumerate(_meet_positions(depth, branch)):
-        ps = imgs[a]
-        for b, r in enumerate(row, a + 1):
-            # The image meet is pr exactly when both images extend pr and
-            # differ right after it, which also rules out equal images.
-            pt, pr = imgs[b], imgs[r]
-            n = len(pr)
-            if ps[n:n + 1] == pt[n:n + 1] or ps[:n] != pr or pt[:n] != pr:
-                return Disagrees(nodes[a], nodes[b])
-    return Agrees()
+    witness: tuple[int, int] | None = None
+    for r, members in _meet_groups(depth, branch):
+        if witness is not None and r > witness[0]:
+            break  # every pair met at r starts at r or later
+        pr = imgs[r]
+        n = len(pr)
+        # An image inside pi(r)'s cone is keyed by its coordinate at n, ()
+        # when it ends there; key None gathers the images that leave the
+        # cone, and _ANY all images.  Per key, kept holds the earliest
+        # entry's position and group, then the earliest position of any
+        # other group: the earliest partner for every group.
+        kept: dict = {}
+        first = None
+        for a, g in reversed(members):
+            img = imgs[a]
+            key = img[n:n + 1] if img[:n] == pr else None
+            for k in ((_ANY,) if key is None else (key, None)):
+                e = kept.get(k)
+                if e is not None:
+                    b = e[0] if e[1] != g else e[2]
+                    if b is not None and (first is None or first[0] != a or b < first[1]):
+                        first = (a, b)  # a precedes every hit found so far at r
+            for k in (key, _ANY):
+                e = kept.get(k)
+                if e is None:
+                    kept[k] = [a, g, None]
+                elif e[1] == g:
+                    e[0] = a
+                else:
+                    e[:] = [a, g, e[0]]
+        if first is not None and (witness is None or first < witness):
+            witness = first
+    if witness is None:
+        return Agrees()
+    return Disagrees(nodes[witness[0]], nodes[witness[1]])
 
 
 @functools.lru_cache(maxsize=8)
-def _meet_positions(depth: int, branch: int) -> list[array]:
-    """Row a holds, for each b > a, the position of the meet of nodes a and b
-    in the canonical order of nodes_in_range."""
+def _meet_groups(depth: int, branch: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """For each node r with children in range, in the canonical order of
+    nodes_in_range: r's position, and the nodes at or below r as (position,
+    group) in that order; the group is the child coordinate under r, or -1
+    for r itself.  Leaves meet no pair."""
     nodes = nodes_in_range(depth, branch)
     pos = {t: k for k, t in enumerate(nodes)}
-    return [array("I", [pos[meet(s, t)] for t in nodes[a + 1:]]) for a, s in enumerate(nodes)]
+    below: list[list[tuple[int, int]]] = [[] for _ in nodes]
+    for k, t in enumerate(nodes):
+        for n in range(len(t) + 1):
+            below[pos[t[:n]]].append((k, t[n] if n < len(t) else -1))
+    return tuple((r, tuple(m)) for r, m in enumerate(below) if len(m) > 1)
 
 
 class EmbeddingFamily:

@@ -63,7 +63,7 @@ def _finite_part(p: Point) -> Seq:
     if isinstance(p, (FinitePoint, AugmentedPoint)):
         return p.seq
     if isinstance(p, PeriodicPoint) and set(p.period) == {0}:
-        return tuple(x for x in p.head)
+        return p._canonical()[0]
     raise DomainMismatch(f"no finite entry support for {p!r}")
 
 

@@ -7,6 +7,7 @@ a prefix oracle.  All values are immutable; prefix oracles must be pure.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -265,11 +266,18 @@ def canonical_index(t: Seq) -> int:
 
 
 def nodes_in_range(depth: int, branch: int) -> list[Seq]:
-    """All nodes with length <= depth and entries < branch, canonical order."""
+    """All nodes with length <= depth and entries < branch, canonical order.
+
+    A fresh list each call, copied from the range sorted once."""
+    return list(_sorted_range(depth, branch))
+
+
+@functools.lru_cache(maxsize=16)
+def _sorted_range(depth: int, branch: int) -> tuple[Seq, ...]:
     out: list[Seq] = [EMPTY]
     frontier: list[Seq] = [EMPTY]
     for _ in range(depth):
         frontier = [t + (e,) for t in frontier for e in range(branch)]
         out.extend(frontier)
     out.sort(key=lambda t: (weight(t), len(t), t))
-    return out
+    return tuple(out)

@@ -2,6 +2,7 @@ import copy
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from seqstar.constructions import (
     ClosureAvoidsF,
@@ -36,8 +37,8 @@ from seqstar.constructions import (
 )
 from seqstar.embeddings import Valid, validate
 from seqstar.metric import Dyadic, weight_schedule
-from seqstar.registry import space_function, tree_family, tree_set
-from seqstar.sequences import BudgetExceeded, DepthBudget, PeriodicPoint
+from seqstar.registry import FUNCTIONS, space_function, tree_family, tree_set
+from seqstar.sequences import BudgetExceeded, DepthBudget, DomainMismatch, PeriodicPoint
 from seqstar.trace import recheck
 
 BUDGET = DepthBudget(depth=48, branch=32, steps=2_000_000)
@@ -261,3 +262,20 @@ def test_recheck_detects_tampered_certificate():
     assert touched
     report = recheck(bad)
     assert not report.ok
+
+
+@given(head=st.lists(st.integers(0, 2), max_size=4),
+       period=st.one_of(st.just([0]), st.lists(st.integers(0, 2), min_size=1, max_size=3)),
+       unroll=st.integers(0, 4), repeat=st.integers(1, 3))
+def test_registry_values_do_not_depend_on_how_a_point_is_written(head, period, unroll, repeat):
+    p = PeriodicPoint(tuple(head), tuple(period))
+    # Unroll the period into the head, which rotates it, then repeat it.
+    k = unroll % len(period)
+    q = PeriodicPoint(p._prefix(len(head) + unroll), tuple(period[k:] + period[:k]) * repeat)
+    assert p == q
+    for name, phi in FUNCTIONS.items():
+        try:
+            value = phi.evaluate(p)
+        except DomainMismatch:
+            continue
+        assert phi.value_distance(value, phi.evaluate(q)) == Dyadic.zero(), (name, p, q)

@@ -89,20 +89,48 @@ def reference_meet_oracle(table, depth, branch):
     return Agrees()
 
 
+def _change_root(table, t, rng):
+    return table[()] + (rng.randrange(3),) if rng.randrange(2) else (7,)
+
+
+def _copy_non_sibling(table, t, rng):
+    others = [u for u in table if u != t and u[:-1] != t[:-1]]
+    return table[rng.choice(others)] if others else table[t]
+
+
+MUTATIONS = {
+    "parent image": lambda table, t, rng: table[t[:-1]] if t else (),
+    "any image": lambda table, t, rng: rng.choice(list(table.values())),
+    "extended": lambda table, t, rng: table[t] + (rng.randrange(3),),
+    "truncated": lambda table, t, rng: table[t][:-1],
+    "root changed": _change_root,
+    "non-sibling image": _copy_non_sibling,
+    "empty": lambda table, t, rng: (),
+}
+
+
 def test_meet_oracle_reports_the_reference_witness():
     rng = random.Random(23)
+    kinds = sorted(MUTATIONS)
     disagreeing = 0
-    for k in range(90):
-        depth, branch = rng.randint(1, 3), rng.randint(1, 3)
+    for k in range(280):
+        depth, branch = rng.randint(1, 4), rng.randint(1, 4)
         table = random_child_map(rng, depth, branch)
-        for _ in range(k % 3):
-            t = rng.choice(list(table))
-            table[t] = rng.choice([table[t[:-1]], rng.choice(list(table.values())),
-                                   table[t] + (rng.randrange(3),)])
-        got = meet_preservation_oracle(table, depth, branch)
-        assert got == reference_meet_oracle(table, depth, branch), (table, got)
+        for j in range(k % 3):
+            kind = kinds[(k + j) % len(kinds)]
+            t = () if kind == "root changed" else rng.choice(list(table))
+            table[t] = MUTATIONS[kind](table, t, rng)
+        want = reference_meet_oracle(table, depth, branch)
+        if k % 2:
+            candidate = table
+        elif isinstance(want, Agrees):
+            candidate = MeetEmbedding.from_table(table).apply
+        else:
+            candidate = lambda t: table[t]
+        got = meet_preservation_oracle(candidate, depth, branch)
+        assert got == want, (table, got)
         disagreeing += isinstance(got, Disagrees)
-    assert 20 < disagreeing < 70
+    assert 100 < disagreeing < 200
 
 
 def test_meet_preservation_holds_for_valid_tables():

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from seqstar.constructions import _word_pool
 from seqstar.sequences import (
     AugmentedPoint,
     BudgetExceeded,
@@ -156,6 +157,13 @@ def test_nodes_in_range_counts():
     # sorted the same way as the canonical enumeration
     keys = [(weight(t), len(t), t) for t in got]
     assert keys == sorted(keys)
+    # the range is sorted once; each call still hands out its own list
+    got.append((9,))
+    got[0] = (9, 9)
+    assert nodes_in_range(2, 3) == [t for _, _, t in keys]
+    for b in range(2, 8):
+        words = set(nodes_in_range(4, min(max(b, 4), 6))) | {(0,) * k for k in range(5, 20)}
+        assert list(_word_pool(b)) == sorted(words, key=lambda w: (weight(w), len(w), w))
 
 
 @given(st.integers(0, 2 ** 60))
