@@ -24,7 +24,7 @@ from .sequences import (
     split_index,
     weight,
 )
-from .metric import Bounded, Dyadic, EpsilonSchedule, Exact, ball_member, distance, epsilon, weight_schedule
+from .metric import Bounded, Dyadic, EpsilonSchedule, Exact, ball_member, distance, weight_schedule
 from .topology import (
     BasicClopen,
     Cone,

@@ -19,6 +19,7 @@ from .sequences import (
     DomainMismatch,
     FinitePoint,
     InfinitePoint,
+    PeriodicPoint,
     Point,
     Seq,
 )
@@ -246,7 +247,7 @@ def _value_key(v: TaggedValue):
     def freeze(x):
         if isinstance(x, (Left, Right)):
             return (type(x).__name__, freeze(x.payload))
-        if isinstance(x, InfinitePoint) and not hasattr(x, "head"):
+        if isinstance(x, InfinitePoint) and not isinstance(x, PeriodicPoint):
             raise DomainMismatch("catalog outputs must be finitely presented for pairing")
         return x
 

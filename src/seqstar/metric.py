@@ -15,8 +15,6 @@ from .sequences import (
     Point,
     Seq,
     Undetermined,
-    nodes_in_range,
-    points_definitely_equal,
     split_index,
     weight,
 )
@@ -157,45 +155,10 @@ class EpsilonSchedule:
     def __call__(self, t: Seq) -> Dyadic:
         return self.rule(t)
 
-    def check(self, max_weight: int = 6, branch: int = 4) -> None:
-        """Verify the schedule invariants on all nodes up to max_weight.
-
-        Positivity and prefix-decrease are checked exactly; convergence is
-        checked through strictly decreasing per-level maxima and
-        nonincreasing child sequences, the finite shadows of the two limit
-        conditions.
-        """
-        level_max: dict[int, Dyadic] = {}
-        for t in nodes_in_range(max_weight, branch):
-            w = weight(t)
-            if w > max_weight:
-                continue
-            e = self.rule(t)
-            if e.is_zero():
-                raise ValueError(f"schedule not positive at {t}")
-            if w not in level_max or e > level_max[w]:
-                level_max[w] = e
-            prev = None
-            for j in range(branch):
-                child = self.rule(t + (j,))
-                if child > e:
-                    raise ValueError(f"schedule increases from {t} to child {j}")
-                if prev is not None and child > prev:
-                    raise ValueError(f"child sequence not nonincreasing at {t}, j={j}")
-                prev = child
-        levels = sorted(level_max)
-        for a, b in zip(levels, levels[1:]):
-            if level_max[b] >= level_max[a]:
-                raise ValueError(f"per-level maxima do not decrease ({a} -> {b})")
-
 
 def weight_schedule() -> EpsilonSchedule:
     """The default schedule 2^-(len + sum of entries)."""
     return EpsilonSchedule("weight", lambda t: Dyadic(1, weight(t)))
-
-
-def epsilon(schedule: EpsilonSchedule, t: Seq) -> Dyadic:
-    return schedule(t)
 
 
 @dataclass(frozen=True)
@@ -223,7 +186,7 @@ def distance(
     restrictions that lie in the tree; zero on equal points."""
     schedule = schedule or weight_schedule()
     budget = budget or DEFAULT_BUDGET
-    if points_definitely_equal(a, b):
+    if a == b:
         return Exact(Dyadic.zero())
     i = split_index(a, b, budget)
     if isinstance(i, Undetermined):

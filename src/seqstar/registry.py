@@ -19,6 +19,7 @@ from .sequences import (
     PeriodicPoint,
     Point,
     Seq,
+    Undetermined,
     canonical_index,
     split_index,
     weight,
@@ -62,8 +63,8 @@ TREE_FAMILIES: dict[str, Callable[[int], TreeSetOracle]] = {
 def _finite_part(p: Point) -> Seq:
     if isinstance(p, (FinitePoint, AugmentedPoint)):
         return p.seq
-    if isinstance(p, PeriodicPoint) and set(p.period) == {0}:
-        return p._canonical()[0]
+    if isinstance(p, PeriodicPoint) and p.period == (0,):
+        return p.head
     raise DomainMismatch(f"no finite entry support for {p!r}")
 
 
@@ -84,10 +85,8 @@ def _abs_diff(a: Dyadic, b: Dyadic) -> Dyadic:
 
 def _split_metric(a: Point, b: Point) -> Dyadic:
     """The classical first-difference ultrametric 2^-(meet length)."""
-    from .sequences import Undetermined, points_definitely_equal
-
     _check_kind(a, b, Point)
-    if points_definitely_equal(a, b):
+    if a == b:
         return Dyadic.zero()
     i = split_index(a, b)
     if isinstance(i, Undetermined):

@@ -131,16 +131,25 @@ class InfinitePoint(Point):
 class PeriodicPoint(InfinitePoint):
     """Eventually periodic infinite point head + period^omega.
 
-    The finite presentation makes equality decidable, which the metric layer
-    uses to report exact zero distances.
+    Stored in normal form: the minimal period, then the shortest head, with
+    the period rotated to match.  Equal points therefore have the same head
+    and period, so equality is decidable and every consumer sees one
+    presentation.
     """
 
     def __init__(self, head: Seq, period: Seq):
+        head, period = tuple(head), tuple(period)
         if not period:
             raise ValueError("period must be nonempty")
-        self.head = tuple(head)
-        self.period = tuple(period)
-        super().__init__(self._prefix, label=f"{list(self.head)}+{list(self.period)}*")
+        n = len(period)
+        m = next(k for k in range(1, n + 1) if n % k == 0 and period == period[:k] * (n // k))
+        j = len(head)
+        while j and head[j - 1] == period[(j - 1 - len(head)) % m]:
+            j -= 1
+        r = (j - len(head)) % m
+        self.head = head[:j]
+        self.period = period[r:m] + period[:r]
+        super().__init__(self._prefix)
 
     def _prefix(self, i: int) -> Seq:
         if i <= len(self.head):
@@ -149,43 +158,16 @@ class PeriodicPoint(InfinitePoint):
         reps = k // len(self.period) + 1
         return self.head + (self.period * reps)[:k]
 
-    def _canonical(self) -> tuple[Seq, Seq]:
-        """The shortest head and the minimal period of the same sequence."""
-        head, period = self.head, self.period
-        n = len(period)
-        m = next(k for k in range(1, n + 1) if n % k == 0 and period == period[:k] * (n // k))
-        j = len(head)
-        while j and head[j - 1] == period[(j - 1 - len(head)) % m]:
-            j -= 1
-        r = (j - len(head)) % m
-        return head[:j], period[r:m] + period[:r]
-
     def __eq__(self, other):
         if not isinstance(other, PeriodicPoint):
             return NotImplemented
-        if self.head == other.head and self.period == other.period:
-            return True
-        return self._canonical() == other._canonical()
+        return self.head == other.head and self.period == other.period
 
     def __hash__(self):
-        return hash(self._canonical())
+        return hash((self.head, self.period))
 
-
-def zeros() -> PeriodicPoint:
-    return PeriodicPoint((), (0,))
-
-
-def points_definitely_equal(a: Point, b: Point) -> bool:
-    """True only when equality is certain from the finite presentations."""
-    if a is b:
-        return True
-    if isinstance(a, FinitePoint) and isinstance(b, FinitePoint):
-        return a.seq == b.seq
-    if isinstance(a, AugmentedPoint) and isinstance(b, AugmentedPoint):
-        return a.seq == b.seq
-    if isinstance(a, PeriodicPoint) and isinstance(b, PeriodicPoint):
-        return a == b
-    return False
+    def __repr__(self):
+        return f"InfinitePoint({list(self.head)}+{list(self.period)}*)"
 
 
 def restrict(p: Point, i: int, budget: DepthBudget | None = None) -> Prefix:

@@ -122,11 +122,11 @@ def _check_cert(cert: dict, trace: dict, phi: SpaceFunction | None,
         eps = cert.dyadic("eps")
         got = phi.cone_diameter(node)
         return None if got < eps else f"diam_lt: cone_diameter({node}) = {got} not < {eps}"
-    if kind in ("value_dist_lt", "value_dist_le", "value_dist_ge", "value_dist_gt"):
+    if kind in ("value_dist_lt", "value_dist_le", "value_dist_ge"):
         d = phi.value_distance(value_at("a"), value_at("b"))
         bound = cert.dyadic("bound")
         ok = {"value_dist_lt": d < bound, "value_dist_le": d <= bound,
-              "value_dist_ge": d >= bound, "value_dist_gt": d > bound}[kind]
+              "value_dist_ge": d >= bound}[kind]
         return None if ok else f"{kind}: distance {d} vs bound {bound}"
     if kind == "avoid_value":
         d = phi.value_distance(value_at("a"), cert.read("x", value_from_json))

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from seqstar.catalog import (
     CertifiedPairing,
@@ -14,6 +15,7 @@ from seqstar.catalog import (
     Right,
     SpaceTag,
     UnionWithP,
+    _value_key,
     catalog_a,
     catalog_b,
     descriptor_to_json,
@@ -23,6 +25,7 @@ from seqstar.catalog import (
     project_p,
     tag_member,
 )
+from seqstar.cli import _tagged_to_json
 from seqstar.embeddings import MeetEmbedding
 from seqstar.registry import space_function
 from seqstar.sequences import AugmentedPoint, DepthBudget, DomainMismatch, FinitePoint, PeriodicPoint
@@ -122,6 +125,21 @@ def test_embed_via_pairs_equal_periodic_samples():
               DisjointUnion(Const(SpaceTag.Baire), rest)):
         r = embed_via(MeetEmbedding.prefix((0,)), f, phi, samples, BUDGET)
         assert isinstance(r, CertifiedPairing) and len(r.psi) == 1, (f, r)
+
+
+@given(head=st.lists(st.integers(0, 2), max_size=4),
+       period=st.lists(st.integers(0, 2), min_size=1, max_size=3),
+       unroll=st.integers(0, 4), repeat=st.integers(1, 3))
+def test_catalog_values_do_not_depend_on_how_a_point_is_written(head, period, unroll, repeat):
+    p = PeriodicPoint(tuple(head), tuple(period))
+    # Unroll the period into the head, which rotates it, then repeat it.
+    k = unroll % len(period)
+    q = PeriodicPoint(p.restrict(len(head) + unroll).seq, tuple(period[k:] + period[:k]) * repeat)
+    for f in catalog_b():
+        vp, vq = evaluate(f, p, BUDGET), evaluate(f, q, BUDGET)
+        assert _value_key(vp) == _value_key(vq), f
+        # The value the command line prints is one value too.
+        assert _tagged_to_json(vp) == _tagged_to_json(vq), f
 
 
 def test_descriptor_json_round_trips_by_equality():

@@ -250,6 +250,16 @@ def test_recheck_detects_tampered_table():
     assert not report.ok
 
 
+def test_recheck_fails_an_unknown_certificate_kind():
+    # value_dist_gt is no certificate kind, though 1 > 0 holds for entry-sum.
+    trace = {"certificates": [{"kind": "value_dist_gt", "a": {"kind": "finite", "seq": []},
+                               "b": {"kind": "finite", "seq": [1]}, "bound": "0"}],
+             "function": {"name": "entry-sum"}}
+    report = recheck(trace)
+    assert not report.ok and report.checked == 1
+    assert "unknown certificate kind 'value_dist_gt'" in report.failures[0]
+
+
 def test_recheck_detects_tampered_certificate():
     _, pe = epsilon_discrete_or_ball(space_function("entry-sum"), Dyadic(1, 0), (), 2, 2, BUDGET)
     bad = copy.deepcopy(pe.trace)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from seqstar.metric import Bounded, Dyadic, Exact, ball_member, distance, epsilon, weight_schedule
+from seqstar.metric import Bounded, Dyadic, Exact, ball_member, distance, weight_schedule
 from seqstar.sequences import AugmentedPoint, DepthBudget, FinitePoint, InfinitePoint, PeriodicPoint
 
 SCHED = weight_schedule()
@@ -74,9 +74,9 @@ def test_dyadic_agrees_with_fractions(a, b):
 
 
 def test_schedule_values():
-    assert epsilon(SCHED, ()) == Dyadic(1, 0)
-    assert epsilon(SCHED, (0,)) == Dyadic(1, 1)
-    assert epsilon(SCHED, (0, 2)) == Dyadic(1, 4)
+    assert SCHED(()) == Dyadic(1, 0)
+    assert SCHED((0,)) == Dyadic(1, 1)
+    assert SCHED((0, 2)) == Dyadic(1, 4)
 
 
 # --- distances ------------------------------------------------------------
@@ -113,7 +113,7 @@ def test_singleton_equals_small_ball():
     for p in small_points(2, 2):
         if not isinstance(p, FinitePoint):
             continue
-        eps = epsilon(SCHED, p.seq)
+        eps = SCHED(p.seq)
         for q in small_points(2, 2):
             if q != p:
                 assert d(p, q) >= eps

@@ -20,6 +20,7 @@ from seqstar.sequences import (
     split_index,
     weight,
 )
+from seqstar.serialize import point_to_json
 
 seqs = st.lists(st.integers(0, 3), max_size=4).map(tuple)
 periods = st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple)
@@ -33,11 +34,14 @@ def test_periodic_equality_and_hash(head, period, unroll, reps, head2, period2):
     k = unroll % len(period)
     q = PeriodicPoint(p.restrict(len(head) + unroll).seq, (period[k:] + period[:k]) * reps)
     assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+    # Equal points are stored in one normal form, so they serialise alike.
+    assert (p.head, p.period) == (q.head, q.period)
+    assert point_to_json(p) == point_to_json(q)
     # 24 coordinates cover both heads and a common period, so they decide equality.
     r = PeriodicPoint(head2, period2)
     assert (p == r) == (p.restrict(24).seq == r.restrict(24).seq)
     if p == r:
-        assert hash(p) == hash(r)
+        assert hash(p) == hash(r) and (p.head, p.period) == (r.head, r.period)
 
 
 def small_nodes(max_len=4, max_entry=3):
