@@ -8,7 +8,6 @@ on points and compared for structural equality.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .embeddings import MeetEmbedding, extend
@@ -18,10 +17,13 @@ from .sequences import (
     DepthBudget,
     DomainMismatch,
     FinitePoint,
+    Frozen,
     InfinitePoint,
     PeriodicPoint,
     Point,
+    Record,
     Seq,
+    set_field,
 )
 
 
@@ -92,69 +94,79 @@ class _Infinity:
 INFTY = _Infinity()
 
 
-@dataclass(frozen=True)
-class TaggedValue:
-    space: SpaceTag
-    payload: Any
+class TaggedValue(Frozen):
+    __slots__ = ("space", "payload")
+
+    def __init__(self, space: SpaceTag, payload: Any):
+        set_field(self, "space", space)
+        set_field(self, "payload", payload)
 
 
-@dataclass(frozen=True)
-class Left:
-    payload: Any
+class Left(Frozen):
+    __slots__ = ("payload",)
+
+    def __init__(self, payload: Any):
+        set_field(self, "payload", payload)
 
 
-@dataclass(frozen=True)
-class Right:
-    payload: Any
+class Right(Frozen):
+    __slots__ = ("payload",)
+
+    def __init__(self, payload: Any):
+        set_field(self, "payload", payload)
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(Frozen):
     """Collapse a domain to the adjoined point."""
 
-    domain: SpaceTag
+    __slots__ = ("domain",)
+
+    def __init__(self, domain: SpaceTag):
+        set_field(self, "domain", domain)
 
 
-@dataclass(frozen=True)
-class Inclusion:
-    frm: SpaceTag
-    into: SpaceTag
+class Inclusion(Frozen):
+    __slots__ = ("frm", "into")
 
-    def __post_init__(self):
-        if not space_subset(self.frm, self.into):
-            raise ValueError(f"{self.frm} is not a subset of {self.into}")
+    def __init__(self, frm: SpaceTag, into: SpaceTag):
+        if not space_subset(frm, into):
+            raise ValueError(f"{frm} is not a subset of {into}")
+        set_field(self, "frm", frm)
+        set_field(self, "into", into)
 
 
-@dataclass(frozen=True)
-class InclusionAfterP:
+class InclusionAfterP(Frozen):
     """Project an augmented point to its node, then include into a space
     of sequences."""
 
-    into: SpaceTag
+    __slots__ = ("into",)
 
-    def __post_init__(self):
-        if self.into not in _P_TARGETS:
+    def __init__(self, into: SpaceTag):
+        if into not in _P_TARGETS:
             raise ValueError(f"projection target must be one of {_P_TARGETS}")
+        set_field(self, "into", into)
 
 
-@dataclass(frozen=True)
-class UnionWithP:
+class UnionWithP(Frozen):
     """A function on infinite points glued with the projection on
     augmented points."""
 
-    baire_part: "CatalogFunction"
+    __slots__ = ("baire_part",)
+
+    def __init__(self, baire_part: "CatalogFunction"):
+        set_field(self, "baire_part", baire_part)
 
 
-@dataclass(frozen=True)
-class DisjointUnion:
-    baire_part: "CatalogFunction"
-    rest_part: "CatalogFunction"
+class DisjointUnion(Frozen):
+    __slots__ = ("baire_part", "rest_part")
 
-    def __post_init__(self):
-        if domain_of(self.baire_part) is not SpaceTag.Baire:
+    def __init__(self, baire_part: "CatalogFunction", rest_part: "CatalogFunction"):
+        if domain_of(baire_part) is not SpaceTag.Baire:
             raise ValueError("baire part must have domain Baire")
-        if domain_of(self.rest_part) is not SpaceTag.BaireStarMinusBaire:
+        if domain_of(rest_part) is not SpaceTag.BaireStarMinusBaire:
             raise ValueError("rest part must have domain BaireStarMinusBaire")
+        set_field(self, "baire_part", baire_part)
+        set_field(self, "rest_part", rest_part)
 
 
 CatalogFunction = Const | Inclusion | InclusionAfterP | UnionWithP | DisjointUnion
@@ -230,17 +242,21 @@ def evaluate(f: CatalogFunction, p: Point, budget: DepthBudget | None = None) ->
     raise DomainMismatch(f"not a catalog function: {f!r}")
 
 
-@dataclass
-class CertifiedPairing:
+class CertifiedPairing(Record):
     """The finite induced table of the second embedding component: catalog
     output -> observed value, consistent on every sample."""
 
-    psi: dict
+    __slots__ = ("psi",)
+
+    def __init__(self, psi: dict):
+        self.psi = psi
 
 
-@dataclass(frozen=True)
-class Mismatch:
-    witness: Point
+class Mismatch(Frozen):
+    __slots__ = ("witness",)
+
+    def __init__(self, witness: Point):
+        set_field(self, "witness", witness)
 
 
 def _value_key(v: TaggedValue):

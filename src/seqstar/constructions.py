@@ -13,7 +13,6 @@ failing with BudgetExceeded when the allowance runs out.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from .metric import Dyadic, EpsilonSchedule, weight_schedule
@@ -23,11 +22,14 @@ from .sequences import (
     BudgetExceeded,
     DepthBudget,
     DomainMismatch,
+    Frozen,
     PeriodicPoint,
     Point,
+    Record,
     Seq,
     is_prefix,
     nodes_in_range,
+    set_field,
     weight,
 )
 from .embeddings import MeetEmbedding, Valid, extend, validate
@@ -36,29 +38,33 @@ from .serialize import node_key, point_to_json, table_to_json, value_to_json
 Value = Any  # Dyadic or Point; equality/distance owned by the SpaceFunction
 
 
-@dataclass
-class TreeSetOracle:
+class TreeSetOracle(Record):
     """A set of tree nodes given by a pure membership test, optionally with
     a density hint mapping each node to an extension inside the set."""
 
-    name: str
-    member: Callable[[Seq], bool]
-    dense_extension: Callable[[Seq], Seq] | None = None
+    __slots__ = ("name", "member", "dense_extension")
+
+    def __init__(self, name: str, member: Callable[[Seq], bool],
+                 dense_extension: Callable[[Seq], Seq] | None = None):
+        self.name = name
+        self.member = member
+        self.dense_extension = dense_extension
 
 
-@dataclass(frozen=True)
-class TreeFamily:
+class TreeFamily(Frozen):
     """Tree sets indexed by level, under the name a trace records."""
 
-    name: str
-    level: Callable[[int], TreeSetOracle]
+    __slots__ = ("name", "level")
+
+    def __init__(self, name: str, level: Callable[[int], TreeSetOracle]):
+        set_field(self, "name", name)
+        set_field(self, "level", level)
 
     def __call__(self, n: int) -> TreeSetOracle:
         return self.level(n)
 
 
-@dataclass
-class SpaceFunction:
+class SpaceFunction(Record):
     """A function into a metric space, presented through oracles.
 
     cone_diameter(t) upper-bounds the diameter of the image of the cone at
@@ -66,16 +72,23 @@ class SpaceFunction:
     cone at t suitable for probing values.
     """
 
-    name: str
-    evaluate: Callable[[Point], Value]
-    value_distance: Callable[[Value, Value], Dyadic]
-    cone_diameter: Callable[[Seq], Dyadic] | None = None
-    sample: Callable[[Seq], Point] | None = None
-    spec: dict | None = None
+    __slots__ = ("name", "evaluate", "value_distance", "cone_diameter", "sample", "spec")
 
-    def __post_init__(self):
-        if self.spec is None:
-            self.spec = {"name": self.name}
+    def __init__(
+        self,
+        name: str,
+        evaluate: Callable[[Point], Value],
+        value_distance: Callable[[Value, Value], Dyadic],
+        cone_diameter: Callable[[Seq], Dyadic] | None = None,
+        sample: Callable[[Seq], Point] | None = None,
+        spec: dict | None = None,
+    ):
+        self.name = name
+        self.evaluate = evaluate
+        self.value_distance = value_distance
+        self.cone_diameter = cone_diameter
+        self.sample = sample
+        self.spec = {"name": name} if spec is None else spec
 
     def sample_point(self, t: Seq) -> Point:
         if self.sample is not None:
@@ -102,105 +115,107 @@ def compose_function(phi: SpaceFunction, table: dict[Seq, Seq]) -> SpaceFunction
 # --- result modes ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InT:
-    pass
+class InT(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class InComplement:
-    pass
+class InComplement(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Convergent:
-    pass
+class Convergent(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Discrete:
-    eps: Dyadic
+class Discrete(Frozen):
+    __slots__ = ("eps",)
+
+    def __init__(self, eps: Dyadic):
+        set_field(self, "eps", eps)
 
 
-@dataclass(frozen=True)
-class DiscreteInjection:
-    eps: Dyadic
+class DiscreteInjection(Frozen):
+    __slots__ = ("eps",)
+
+    def __init__(self, eps: Dyadic):
+        set_field(self, "eps", eps)
 
 
-@dataclass(frozen=True)
-class InsideBall:
-    center: Value
+class InsideBall(Frozen):
+    __slots__ = ("center",)
+
+    def __init__(self, center: Value):
+        set_field(self, "center", center)
 
 
-@dataclass(frozen=True)
-class DiameterToZero:
-    pass
+class DiameterToZero(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SeparatedClosure:
-    s: Seq
-    delta: Dyadic
+class SeparatedClosure(Frozen):
+    __slots__ = ("s", "delta")
+
+    def __init__(self, s: Seq, delta: Dyadic):
+        set_field(self, "s", s)
+        set_field(self, "delta", delta)
 
 
-@dataclass(frozen=True)
-class ContinuousAtBaire:
-    pass
+class ContinuousAtBaire(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConvergesToMember:
-    x: Value
+class ConvergesToMember(Frozen):
+    __slots__ = ("x",)
+
+    def __init__(self, x: Value):
+        set_field(self, "x", x)
 
 
-@dataclass(frozen=True)
-class ClosureAvoidsF:
-    eps: Dyadic
-    u: Seq
+class ClosureAvoidsF(Frozen):
+    __slots__ = ("eps", "u")
+
+    def __init__(self, eps: Dyadic, u: Seq):
+        set_field(self, "eps", eps)
+        set_field(self, "u", u)
 
 
-@dataclass(frozen=True)
-class GlobalConvergence:
-    pass
+class GlobalConvergence(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PairwiseAvoidance:
-    pass
+class PairwiseAvoidance(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Constant:
-    pass
+class Constant(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EmbedsIntoBaire:
-    pass
+class EmbedsIntoBaire(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EmbedsIntoBaireStar:
-    pass
+class EmbedsIntoBaireStar(Frozen):
+    __slots__ = ()
 
 
-@dataclass
-class PartialEmbedding:
+class PartialEmbedding(Record):
     """A finite realization of a constructed embedding: the full table on
     its (depth, branch) range plus the trace that certifies it."""
 
-    table: dict[Seq, Seq]
-    depth: int
-    branch: int
-    trace: dict
+    __slots__ = ("table", "depth", "branch", "trace")
+
+    def __init__(self, table: dict[Seq, Seq], depth: int, branch: int, trace: dict):
+        self.table = table
+        self.depth = depth
+        self.branch = branch
+        self.trace = trace
+        v = validate(table, depth, branch)
+        if not isinstance(v, Valid):
+            raise AssertionError(f"constructed table fails validation: {v}")
 
     def embedding(self) -> MeetEmbedding:
         return MeetEmbedding.from_table(self.table)
-
-    def __post_init__(self):
-        v = validate(lambda t: self.table[t], self.depth, self.branch)
-        if not isinstance(v, Valid):
-            raise AssertionError(f"constructed table fails validation: {v}")
 
 
 # --- search plumbing ------------------------------------------------------

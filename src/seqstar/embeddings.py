@@ -11,7 +11,6 @@ nodes at its meet.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .sequences import (
@@ -20,12 +19,14 @@ from .sequences import (
     BudgetExceeded,
     DepthBudget,
     FinitePoint,
+    Frozen,
     InfinitePoint,
     PeriodicPoint,
     Point,
     Seq,
     is_prefix,
     nodes_in_range,
+    set_field,
 )
 
 
@@ -67,6 +68,9 @@ class MeetEmbedding:
         self.stable: int | None = None
 
     def apply(self, t: Seq) -> Seq:
+        s = self.stable
+        if s is not None and len(t) > s:
+            return self.apply(t[:s]) + t[s:]  # past the stable depth the rule copies
         got = self._memo.get(t)
         if got is not None:
             return got
@@ -141,16 +145,17 @@ class MeetEmbedding:
         return e
 
 
-@dataclass(frozen=True)
-class Valid:
-    pass
+class Valid(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Violation:
-    t: Seq
-    i: int
-    j: int | None = None
+class Violation(Frozen):
+    __slots__ = ("t", "i", "j")
+
+    def __init__(self, t: Seq, i: int, j: int | None = None):
+        set_field(self, "t", t)
+        set_field(self, "i", i)
+        set_field(self, "j", j)
 
 
 def validate(
@@ -173,15 +178,16 @@ def validate(
     return Valid()
 
 
-@dataclass(frozen=True)
-class Agrees:
-    pass
+class Agrees(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Disagrees:
-    s: Seq
-    t: Seq
+class Disagrees(Frozen):
+    __slots__ = ("s", "t")
+
+    def __init__(self, s: Seq, t: Seq):
+        set_field(self, "s", s)
+        set_field(self, "t", t)
 
 
 _ANY = object()  # the oracle's key for images of every kind
@@ -325,11 +331,13 @@ def extend(pi: MeetEmbedding, p: Point, budget: DepthBudget | None = None) -> Po
     return InfinitePoint(prefix_fn, label=f"{pi.name or 'pi'}^({p!r})")
 
 
-@dataclass(frozen=True)
-class Empty:
+class Empty(Frozen):
     """No preimage found; range_limited marks that the search was bounded."""
 
-    range_limited: bool = True
+    __slots__ = ("range_limited",)
+
+    def __init__(self, range_limited: bool = True):
+        set_field(self, "range_limited", range_limited)
 
 
 def preimage_cone(

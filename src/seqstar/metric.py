@@ -6,15 +6,16 @@ floating point is used anywhere.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable
 
 from .sequences import (
     DEFAULT_BUDGET,
     DepthBudget,
+    Frozen,
     Point,
     Seq,
     Undetermined,
+    set_field,
     split_index,
     weight,
 )
@@ -144,33 +145,66 @@ def dyadic_max(*xs: Dyadic) -> Dyadic:
     return best
 
 
-@dataclass(frozen=True)
-class EpsilonSchedule:
+class EpsilonSchedule(Frozen):
     """A node-indexed family of positive dyadic radii, decreasing along the
     prefix order and vanishing per weight level."""
 
-    name: str
-    rule: Callable[[Seq], Dyadic]
+    __slots__ = ("name", "rule")
+
+    def __init__(self, name: str, rule: Callable[[Seq], Dyadic]):
+        set_field(self, "name", name)
+        set_field(self, "rule", rule)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name and self.rule == other.rule
+
+    def __hash__(self):
+        return hash((self.name, self.rule))
 
     def __call__(self, t: Seq) -> Dyadic:
         return self.rule(t)
 
 
+_WEIGHT_SCHEDULE = EpsilonSchedule("weight", lambda t: Dyadic(1, weight(t)))
+
+
 def weight_schedule() -> EpsilonSchedule:
-    """The default schedule 2^-(len + sum of entries)."""
-    return EpsilonSchedule("weight", lambda t: Dyadic(1, weight(t)))
+    """The default schedule 2^-(len + sum of entries), one shared instance."""
+    return _WEIGHT_SCHEDULE
 
 
-@dataclass(frozen=True)
-class Exact:
-    value: Dyadic
+class Exact(Frozen):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Dyadic):
+        set_field(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self):
+        return hash((self.value,))
 
 
-@dataclass(frozen=True)
-class Bounded:
+class Bounded(Frozen):
     """The true distance is at most ``upper`` (zero if the points are equal)."""
 
-    upper: Dyadic
+    __slots__ = ("upper",)
+
+    def __init__(self, upper: Dyadic):
+        set_field(self, "upper", upper)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.upper == other.upper
+
+    def __hash__(self):
+        return hash((self.upper,))
 
 
 DistanceResult = Exact | Bounded

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 Seq = tuple[int, ...]
@@ -30,17 +29,62 @@ class DomainMismatch(Exception):
     """Raised when a point lies outside the domain of the requested map."""
 
 
-@dataclass(frozen=True)
-class DepthBudget:
+class FrozenInstanceError(AttributeError):
+    """Raised on assignment to a field of a Frozen value."""
+
+
+set_field = object.__setattr__  # how a Frozen value's __init__ sets its fields
+
+
+class Record:
+    """Base of the value types.  A subclass names its fields in ``__slots__``
+    and sets them in its own ``__init__``.  Two records are equal iff they
+    have the same class and equal fields; the repr is ``Name(field=value,
+    ...)``.  Records are mutable and therefore unhashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Frozen(Record):
+    """A record whose fields are fixed by ``__init__`` (through set_field)
+    and hashed together."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class DepthBudget(Frozen):
     """Caps on how far lazy points and searches may be inspected."""
 
-    depth: int = 64
-    branch: int = 64
-    steps: int = 100_000
+    __slots__ = ("depth", "branch", "steps")
 
-    def __post_init__(self):
-        if self.depth <= 0 or self.branch <= 0 or self.steps <= 0:
+    def __init__(self, depth: int = 64, branch: int = 64, steps: int = 100_000):
+        if depth <= 0 or branch <= 0 or steps <= 0:
             raise ValueError("budget components must be positive")
+        set_field(self, "depth", depth)
+        set_field(self, "branch", branch)
+        set_field(self, "steps", steps)
 
 
 DEFAULT_BUDGET = DepthBudget()
@@ -59,32 +103,64 @@ def meet(s: Seq, t: Seq) -> Seq:
     return s[:i]
 
 
-@dataclass(frozen=True)
-class Prefix:
+class Prefix(Frozen):
     """A restriction p|i; ``marked`` records that the last coordinate is the
     infinity marker and the prefix therefore lies outside the tree."""
 
-    seq: Seq
-    marked: bool = False
+    __slots__ = ("seq", "marked")
+
+    def __init__(self, seq: Seq, marked: bool = False):
+        set_field(self, "seq", seq)
+        set_field(self, "marked", marked)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.seq == other.seq and self.marked == other.marked
+
+    def __hash__(self):
+        return hash((self.seq, self.marked))
 
 
-@dataclass(frozen=True)
-class Undetermined:
+class Undetermined(Frozen):
     """Agreement of two points up to the inspected depth."""
 
-    depth: int
+    __slots__ = ("depth",)
+
+    def __init__(self, depth: int):
+        set_field(self, "depth", depth)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.depth == other.depth
+
+    def __hash__(self):
+        return hash((self.depth,))
 
 
 class Point:
     """Base class for elements of the compactified space."""
 
+    __slots__ = ()
+
     def restrict(self, i: int, budget: DepthBudget | None = None) -> Prefix:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class FinitePoint(Point):
-    seq: Seq
+class FinitePoint(Point, Frozen):
+    __slots__ = ("seq",)
+
+    def __init__(self, seq: Seq):
+        set_field(self, "seq", seq)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.seq == other.seq
+
+    def __hash__(self):
+        return hash((self.seq,))
 
     def restrict(self, i: int, budget: DepthBudget | None = None) -> Prefix:
         return Prefix(self.seq[:i])
@@ -93,11 +169,21 @@ class FinitePoint(Point):
         return f"FinitePoint({list(self.seq)})"
 
 
-@dataclass(frozen=True)
-class AugmentedPoint(Point):
+class AugmentedPoint(Point, Frozen):
     """The point t followed by the infinity coordinate."""
 
-    seq: Seq
+    __slots__ = ("seq",)
+
+    def __init__(self, seq: Seq):
+        set_field(self, "seq", seq)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.seq == other.seq
+
+    def __hash__(self):
+        return hash((self.seq,))
 
     def restrict(self, i: int, budget: DepthBudget | None = None) -> Prefix:
         if i <= len(self.seq):

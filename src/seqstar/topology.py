@@ -9,7 +9,6 @@ by covering its apex, its augmented apex and each of its child cones.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Iterator
 
 from .sequences import (
@@ -18,33 +17,41 @@ from .sequences import (
     BudgetExceeded,
     DepthBudget,
     FinitePoint,
+    Frozen,
     PeriodicPoint,
     Point,
     Seq,
     cone_member,
     is_prefix,
     nodes_in_range,
+    set_field,
     weight,
 )
 from .metric import Dyadic, EpsilonSchedule, weight_schedule
 
 
-@dataclass(frozen=True)
-class Singleton:
-    t: Seq
+class Singleton(Frozen):
+    __slots__ = ("t",)
+
+    def __init__(self, t: Seq):
+        set_field(self, "t", t)
 
 
-@dataclass(frozen=True)
-class Cone:
-    t: Seq
+class Cone(Frozen):
+    __slots__ = ("t",)
+
+    def __init__(self, t: Seq):
+        set_field(self, "t", t)
 
 
-@dataclass(frozen=True)
-class ConeMinus:
+class ConeMinus(Frozen):
     """The cone at t minus the apex and the child cones j < i."""
 
-    t: Seq
-    i: int
+    __slots__ = ("t", "i")
+
+    def __init__(self, t: Seq, i: int):
+        set_field(self, "t", t)
+        set_field(self, "i", i)
 
 
 BasicClopen = Singleton | Cone | ConeMinus
@@ -84,14 +91,15 @@ def representatives(family: list[BasicClopen], base: Seq = ()) -> Iterator[Point
     yield from (PeriodicPoint(base + w, (0,)) for w in words if len(w) == D + 1)
 
 
-@dataclass(frozen=True)
-class Covers:
-    pass
+class Covers(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    point: Point
+class Counterexample(Frozen):
+    __slots__ = ("point",)
+
+    def __init__(self, point: Point):
+        set_field(self, "point", point)
 
 
 def _covered(family: list[BasicClopen], p: Point) -> bool:

@@ -7,14 +7,13 @@ certifying comparison in exact dyadic arithmetic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Any, Callable
 
 from .constructions import SpaceFunction
 from .embeddings import Agrees, Valid, meet_preservation_oracle, validate
 from .metric import Dyadic
-from .sequences import AugmentedPoint, Seq
+from .sequences import AugmentedPoint, Record, Seq
 from .serialize import (
     ParseError,
     _seq,
@@ -25,11 +24,13 @@ from .serialize import (
 )
 
 
-@dataclass
-class RecheckReport:
-    ok: bool
-    checked: int
-    failures: list[str] = field(default_factory=list)
+class RecheckReport(Record):
+    __slots__ = ("ok", "checked", "failures")
+
+    def __init__(self, ok: bool, checked: int, failures: list[str] | None = None):
+        self.ok = ok
+        self.checked = checked
+        self.failures = [] if failures is None else failures
 
     def merge(self, other: "RecheckReport") -> None:
         self.ok = self.ok and other.ok

@@ -269,3 +269,76 @@ def test_invalid_table_raises_on_use():
     pi = MeetEmbedding.from_table(bad)
     with pytest.raises(InvalidEmbedding):
         pi.apply((0,))
+
+
+def _build(recipe, stable):
+    """The embedding a recipe names; with stable False every stable depth is
+    dropped, so apply builds each image child by child through the rule."""
+    kind, arg = recipe
+    if kind == "compose":
+        return _build(arg[0], stable).compose(_build(arg[1], stable))
+    e = MeetEmbedding.prefix(arg) if kind == "prefix" else MeetEmbedding.from_table(arg)
+    if not stable:
+        e.stable = None
+    return e
+
+
+@st.composite
+def embedding_recipes(draw, corrupt=False):
+    """A prefix, a table of depth up to 3 (one entry broken when corrupt),
+    or the composition of two recipes."""
+    kind = draw(st.sampled_from(["prefix", "table", "compose"]))
+    if kind == "prefix":
+        return ("prefix", tuple(draw(st.lists(st.integers(0, 2), max_size=3))))
+    if kind == "compose":
+        return ("compose", (draw(embedding_recipes(corrupt)), draw(embedding_recipes())))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    table = random_child_map(rng, draw(st.integers(0, 3)), draw(st.integers(2, 3)))
+    if corrupt and len(table) > 1:
+        t = rng.choice([k for k in table if k])
+        if rng.random() < 0.5:
+            table[t] = table[t[:-1]]  # no strict extension at t
+        else:  # t forks from its parent at a sibling's coordinate
+            n = len(table[t[:-1]])
+            sib = t[:-1] + (0 if t[-1] else 1,)
+            table[t] = table[t[:-1]] + table[sib][n:n + 1]
+    return ("table", table)
+
+
+_deep_nodes = st.lists(st.lists(st.integers(0, 3), max_size=12).map(tuple), min_size=1, max_size=6)
+
+
+def _outcomes(recipe, stable, nodes):
+    """The image of each node, or how the embedding first failed."""
+    out = []
+    try:
+        pi = _build(recipe, stable)
+        for t in nodes:
+            out.append(pi.apply(t))
+    except InvalidEmbedding as e:
+        out.append(("invalid", str(e), e.node, e.violation))
+    return out
+
+
+@settings(deadline=None)
+@given(embedding_recipes(), _deep_nodes)
+def test_apply_past_the_stable_depth_matches_the_stepwise_images(recipe, nodes):
+    fast = _build(recipe, True)
+    assert fast.stable is not None and _build(recipe, False).stable is None
+    assert _outcomes(recipe, True, nodes) == _outcomes(recipe, False, nodes)
+    for t in nodes:
+        for k in range(len(t) + 1):
+            assert is_prefix(fast.apply(t[:k]), fast.apply(t))
+
+
+@settings(deadline=None)
+@given(embedding_recipes(corrupt=True), _deep_nodes)
+def test_corrupted_tables_fail_at_the_same_node_past_the_stable_depth(recipe, tails):
+    nodes = [s + t for s in nodes_in_range(3, 3) for t in tails]  # through every table node
+    assert _outcomes(recipe, True, nodes) == _outcomes(recipe, False, nodes)
+
+
+def test_prefix_images_past_the_stable_depth_are_not_memoised():
+    pi = MeetEmbedding.prefix((0,))
+    assert pi.apply((1,) * 40) == (0,) + (1,) * 40
+    assert len(pi._memo) == 1
