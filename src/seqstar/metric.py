@@ -155,14 +155,6 @@ class EpsilonSchedule(Frozen):
         set_field(self, "name", name)
         set_field(self, "rule", rule)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name and self.rule == other.rule
-
-    def __hash__(self):
-        return hash((self.name, self.rule))
-
     def __call__(self, t: Seq) -> Dyadic:
         return self.rule(t)
 
@@ -181,14 +173,6 @@ class Exact(Frozen):
     def __init__(self, value: Dyadic):
         set_field(self, "value", value)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self):
-        return hash((self.value,))
-
 
 class Bounded(Frozen):
     """The true distance is at most ``upper`` (zero if the points are equal)."""
@@ -197,14 +181,6 @@ class Bounded(Frozen):
 
     def __init__(self, upper: Dyadic):
         set_field(self, "upper", upper)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.upper == other.upper
-
-    def __hash__(self):
-        return hash((self.upper,))
 
 
 DistanceResult = Exact | Bounded

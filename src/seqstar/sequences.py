@@ -60,12 +60,20 @@ class Record:
 
 class Frozen(Record):
     """A record whose fields are fixed by ``__init__`` (through set_field)
-    and hashed together."""
+    and hashed together.  copy and pickle restore the fields through
+    ``__setstate__``, which also uses set_field."""
 
     __slots__ = ()
 
     def __hash__(self):
         return hash(self._fields())
+
+    def __getstate__(self):
+        return self._fields()
+
+    def __setstate__(self, state):
+        for f, v in zip(self.__slots__, state):
+            set_field(self, f, v)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -129,14 +137,6 @@ class Undetermined(Frozen):
 
     def __init__(self, depth: int):
         set_field(self, "depth", depth)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.depth == other.depth
-
-    def __hash__(self):
-        return hash((self.depth,))
 
 
 class Point:

@@ -1,7 +1,9 @@
-"""The value types: field equality, hashing, frozenness and repr, and the
-modules that importing the command line loads."""
+"""The value types: field equality, hashing, frozenness, copy, pickle and
+repr, and the modules that importing the command line loads."""
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -180,6 +182,16 @@ def test_mutable_values_accept_assignment(cls):
     for name in cls.__slots__:
         setattr(v, name, getattr(changed, name))
     assert v == changed
+
+
+@pytest.mark.parametrize("cls", list(FROZEN) + list(MUTABLE), ids=lambda c: c.__name__)
+def test_values_survive_copy_and_pickle(cls):
+    args, _ = {**FROZEN, **MUTABLE}[cls]
+    v = cls(*args)
+    for c in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+        assert type(c) is cls and c == v
+        if cls in FROZEN:
+            assert hash(c) == hash(v)
 
 
 def test_same_fields_in_another_class_are_unequal():
