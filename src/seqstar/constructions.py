@@ -330,7 +330,14 @@ def _converging_table(phi: SpaceFunction, schedule: EpsilonSchedule, pool: Seque
 def _cmp(kind: str, a: Point, b: Point, bound: Dyadic) -> dict:
     """A certificate comparing the distance between the values at a and b
     with bound."""
-    return {"kind": kind, "a": point_to_json(a), "b": point_to_json(b), "bound": str(bound)}
+    return _cert(kind, point_to_json(a), point_to_json(b), str(bound))
+
+
+def _cert(kind: str, a: dict, b: dict, bound: str) -> dict:
+    """_cmp on points and bound already written as JSON.  Where a point
+    takes part in many pairs, its one JSON object is shared by all their
+    certificates, so that the trace holds one copy per point, not per pair."""
+    return {"kind": kind, "a": a, "b": b, "bound": bound}
 
 
 def _prefix_table(s: Seq, out_depth: int, out_branch: int) -> dict[Seq, Seq]:
@@ -631,7 +638,10 @@ def limit_refine(
                 delta = d if delta is None or d < delta else delta
         if delta is not None and not delta.is_zero():
             table = _prefix_table(s, out_depth, out_branch)
-            certs = [_cmp("value_dist_ge", b, a, delta) for b in baire for a in augs]
+            baire_json = [point_to_json(b) for b in baire]
+            augs_json = [point_to_json(a) for a in augs]
+            bound = str(delta)
+            certs = [_cert("value_dist_ge", b, a, bound) for b in baire_json for a in augs_json]
             trace = _std_trace("limit_refine",
                                {"depth": out_depth, "branch": out_branch,
                                 "schedule": schedule.name},
@@ -678,8 +688,9 @@ def epsilon_discrete_or_ball(
                 img = _find(fresh, (pimg + (n,) + w for w in pool), steps)
             table[u] = img
             chosen_values[u] = phi.evaluate(AugmentedPoint(img))
-        imgs = list(table.values())
-        certs = [_cmp("value_dist_ge", AugmentedPoint(imgs[a]), AugmentedPoint(imgs[b]), eps)
+        imgs = [point_to_json(AugmentedPoint(img)) for img in table.values()]
+        bound = str(eps)
+        certs = [_cert("value_dist_ge", imgs[a], imgs[b], bound)
                  for a in range(len(imgs)) for b in range(a + 1, len(imgs))]
         trace = _std_trace("epsilon_discrete_or_ball",
                            {"depth": out_depth, "branch": out_branch,
@@ -872,6 +883,7 @@ def discrete_refine(
     ordered = nodes_in_range(out_depth, out_branch)
     table = {}
     limits: dict[Seq, Value] = {}
+    limit_points: dict[Seq, dict] = {}  # the JSON of AugmentedPoint(table[m])
     certs = []
 
     def avoiding(c: Seq) -> Dyadic | None:
@@ -890,13 +902,14 @@ def discrete_refine(
             cands = (w for w in pool) if not u else \
                 (table[u[:-1]] + (u[-1],) + w for w in pool)
             img = _find(lambda c: avoiding(c) is not None, cands, steps)
-            bound = avoiding(img)
+            bound = str(avoiding(img))
             for w in below_words:
+                below = point_to_json(AugmentedPoint(img + w))
                 for m in limits:
-                    certs.append(_cmp("avoid_pair", AugmentedPoint(table[m]),
-                                      AugmentedPoint(img + w), bound))
+                    certs.append(_cert("avoid_pair", limit_points[m], below, bound))
             table[u] = img
             limits[u] = phi.evaluate(AugmentedPoint(img))
+            limit_points[u] = point_to_json(AugmentedPoint(img))
     except _SearchFailed:
         raise BudgetExceeded("pairwise avoidance not certified", stage="discrete_refine")
     certs.append({"kind": "meet_table"})

@@ -213,6 +213,23 @@ def test_discrete_refine_modes():
     assert_good(pe)
 
 
+@pytest.mark.parametrize("build, mode_type", [
+    (lambda: limit_refine(space_function("zero-one-split"), SCHED, 2, 3, BUDGET), SeparatedClosure),
+    (lambda: epsilon_discrete_or_ball(space_function("entry-sum"), Dyadic(1, 0), (), 2, 3, BUDGET),
+     DiscreteInjection),
+    (lambda: discrete_refine(space_function("enum-index"), SCHED, 2, 3, BUDGET), PairwiseAvoidance),
+], ids=["limit_refine", "epsilon_discrete_or_ball", "discrete_refine"])
+def test_pairwise_certificates_share_one_json_object_per_point(build, mode_type):
+    # The certificate lists of these modes grow with the square of the
+    # points they compare.  Each point's JSON object is made once and shared
+    # by its pairs, so there are several references to every object.
+    mode, pe = build()
+    assert isinstance(mode, mode_type)
+    points = [c[k] for c in pe.trace["certificates"] for k in ("a", "b") if k in c]
+    assert 4 * len({id(p) for p in points}) < len(points)
+    assert_good(pe)
+
+
 def test_disjoint_refine_good_and_bad_witness():
     phi = space_function("zero-one-split")
     b = PeriodicPoint((), (0,))
