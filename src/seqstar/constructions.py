@@ -13,6 +13,7 @@ failing with BudgetExceeded when the allowance runs out.
 from __future__ import annotations
 
 import functools
+from itertools import islice
 from typing import Any, Callable, Iterable, Sequence
 
 from .metric import Dyadic, EpsilonSchedule, weight_schedule
@@ -229,7 +230,10 @@ class _Steps:
     def tick(self) -> None:
         self.left -= 1
         if self.left < 0:
-            raise BudgetExceeded(f"step budget exhausted in {self.stage}", stage=self.stage)
+            raise self.exhausted()
+
+    def exhausted(self) -> BudgetExceeded:
+        return BudgetExceeded(f"step budget exhausted in {self.stage}", stage=self.stage)
 
 
 class _SearchFailed(Exception):
@@ -252,14 +256,22 @@ def _word_pool(branch: int) -> tuple[Seq, ...]:
     return tuple(sorted(words, key=lambda w: (weight(w), len(w), w)))
 
 
-def _find(pred: Callable[[Seq], bool], candidates, steps: _Steps) -> Seq:
-    for n, c in enumerate(candidates):
-        if n >= _LOCAL_CAP:
-            break
-        steps.tick()
-        if pred(c):
-            return c
-    raise _SearchFailed
+def _find(pred: Callable[..., bool], start: Seq, pool: Sequence[Seq], steps: _Steps, *u) -> Seq:
+    """The first candidate start + w, w in pool, with pred(candidate, *u).
+
+    Each candidate costs one step; at most _LOCAL_CAP are tried."""
+    left = steps.left
+    try:
+        for w in islice(pool, _LOCAL_CAP):
+            left -= 1
+            if left < 0:
+                raise steps.exhausted()
+            c = start + w
+            if pred(c, *u):
+                return c
+        raise _SearchFailed
+    finally:
+        steps.left = left
 
 
 def _build_table(
@@ -301,7 +313,7 @@ def _refine(
                 if c is not None and is_prefix(start, c) and pred(c, u):
                     steps.tick()
                 else:
-                    c = _find(lambda x: pred(x, u), (start + w for w in pool), steps)
+                    c = _find(pred, start, pool, steps, u)
                 table[u] = c
         except _SearchFailed:
             continue
@@ -320,7 +332,7 @@ def _converging_table(phi: SpaceFunction, schedule: EpsilonSchedule, pool: Seque
     def close(c: Seq, limit: Value, u: Seq) -> bool:
         return phi.value_distance(phi.evaluate(AugmentedPoint(c)), limit) < schedule(u).half()
 
-    root = _find(lambda c: close(c, phi.evaluate(AugmentedPoint(c + (_TAIL,))), ()), pool, steps)
+    root = _find(lambda c: close(c, phi.evaluate(AugmentedPoint(c + (_TAIL,))), ()), (), pool, steps)
     tail = AugmentedPoint(root + (_TAIL,))
     limit = phi.evaluate(tail)
     # The root passes close() again at once: its limit is this one.
@@ -674,20 +686,21 @@ def epsilon_discrete_or_ball(
 
     try:
         table: dict[Seq, Seq] = {}
-        chosen_values: dict[Seq, Value] = {}
+        chosen_values: list[Value] = []
+        value = None  # the value at the candidate fresh() accepted last
 
         def fresh(c: Seq) -> bool:
+            nonlocal value
             v = phi.evaluate(AugmentedPoint(c))
-            return all(phi.value_distance(v, old) >= eps for old in chosen_values.values())
+            for old in chosen_values:
+                if not phi.value_distance(v, old) >= eps:
+                    return False
+            value = v
+            return True
 
         for n, u in enumerate(ordered):
-            if not u:
-                img = _find(fresh, (t + w for w in pool), steps)
-            else:
-                pimg = table[u[:-1]]
-                img = _find(fresh, (pimg + (n,) + w for w in pool), steps)
-            table[u] = img
-            chosen_values[u] = phi.evaluate(AugmentedPoint(img))
+            table[u] = _find(fresh, table[u[:-1]] + (n,) if u else t, pool, steps)
+            chosen_values.append(value)
         imgs = [point_to_json(AugmentedPoint(img)) for img in table.values()]
         bound = str(eps)
         certs = [_cert("value_dist_ge", imgs[a], imgs[b], bound)
@@ -750,13 +763,14 @@ def shrink_or_discrete(
         raise BudgetExceeded("diameter-to-zero table not reachable", stage="shrink_or_discrete")
 
     certs = []
+    values = {u: phi.evaluate(AugmentedPoint(img)) for u, img in table.items()}
     for t in table:
-        members = [table[u] for u in table if is_prefix(t, u)]
+        cone = [u for u in table if is_prefix(t, u)]
+        members = [table[u] for u in cone]
         eps_t = schedule(t)
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                d = phi.value_distance(phi.evaluate(AugmentedPoint(members[a])),
-                                       phi.evaluate(AugmentedPoint(members[b])))
+        for a in range(len(cone)):
+            for b in range(a + 1, len(cone)):
+                d = phi.value_distance(values[cone[a]], values[cone[b]])
                 if not d < eps_t:
                     raise BudgetExceeded(f"cone value diameter not below {eps_t} at {t}",
                                          stage="shrink_or_discrete")
@@ -879,36 +893,41 @@ def discrete_refine(
         pass
 
     steps = _Steps(budget.steps, "discrete_refine")
-    below_words = [w for w in pool if len(w) <= 1][:4]
+    below_words = [w for w in pool if len(w) <= 1][:4]  # (), (0,), (1,), (2,)
     ordered = nodes_in_range(out_depth, out_branch)
     table = {}
     limits: dict[Seq, Value] = {}
     limit_points: dict[Seq, dict] = {}  # the JSON of AugmentedPoint(table[m])
     certs = []
 
-    def avoiding(c: Seq) -> Dyadic | None:
-        worst = None
+    bound = value = None  # the least distance and the value avoiding() found last
+
+    def avoiding(c: Seq) -> bool:
+        """Whether every value below c keeps a positive distance from the limits."""
+        nonlocal bound, value
+        worst = v0 = None
         for w in below_words:
             v = phi.evaluate(AugmentedPoint(c + w))
+            if not w:
+                v0 = v
             for x in limits.values():
                 d = phi.value_distance(x, v)
                 if d.is_zero():
-                    return None
+                    return False
                 worst = d if worst is None or d < worst else worst
-        return worst if worst is not None else Dyadic.one()
+        bound, value = worst if worst is not None else Dyadic.one(), v0
+        return True
 
     try:
         for u in ordered:
-            cands = (w for w in pool) if not u else \
-                (table[u[:-1]] + (u[-1],) + w for w in pool)
-            img = _find(lambda c: avoiding(c) is not None, cands, steps)
-            bound = str(avoiding(img))
+            img = _find(avoiding, table[u[:-1]] + u[-1:] if u else (), pool, steps)
+            bound_json = str(bound)
             for w in below_words:
                 below = point_to_json(AugmentedPoint(img + w))
                 for m in limits:
-                    certs.append(_cert("avoid_pair", limit_points[m], below, bound))
+                    certs.append(_cert("avoid_pair", limit_points[m], below, bound_json))
             table[u] = img
-            limits[u] = phi.evaluate(AugmentedPoint(img))
+            limits[u] = value
             limit_points[u] = point_to_json(AugmentedPoint(img))
     except _SearchFailed:
         raise BudgetExceeded("pairwise avoidance not certified", stage="discrete_refine")

@@ -58,11 +58,6 @@ class Dyadic:
             return cls(1 << k)
         return cls(1, -k)
 
-    def _cmp(self, other: "Dyadic") -> int:
-        a = self.num << other.exp
-        b = other.num << self.exp
-        return (a > b) - (a < b)
-
     def __eq__(self, other):
         if not isinstance(other, Dyadic):
             return NotImplemented
@@ -71,17 +66,18 @@ class Dyadic:
     def __hash__(self):
         return hash((self.num, self.exp))
 
+    # Compare m * 2^-k with n * 2^-l as m * 2^l with n * 2^k.
     def __lt__(self, other):
-        return self._cmp(other) < 0
+        return self.num << other.exp < other.num << self.exp
 
     def __le__(self, other):
-        return self._cmp(other) <= 0
+        return self.num << other.exp <= other.num << self.exp
 
     def __gt__(self, other):
-        return self._cmp(other) > 0
+        return self.num << other.exp > other.num << self.exp
 
     def __ge__(self, other):
-        return self._cmp(other) >= 0
+        return self.num << other.exp >= other.num << self.exp
 
     def __add__(self, other):
         e = max(self.exp, other.exp)
@@ -106,7 +102,13 @@ class Dyadic:
         return self.num == 0
 
     def abs_diff(self, other: "Dyadic") -> "Dyadic":
-        return self - other if self >= other else other - self
+        a, b, e = self.num, other.num, self.exp
+        if e > other.exp:
+            b <<= e - other.exp
+        elif e < other.exp:
+            a <<= other.exp - e
+            e = other.exp
+        return Dyadic(a - b if a >= b else b - a, e)
 
     def __str__(self):
         if self.exp == 0:
@@ -135,14 +137,6 @@ class Dyadic:
         if m:
             return cls(int(m.group(1) or 1), int(m.group(2)))
         raise ValueError(f"cannot parse dyadic {s!r}")
-
-
-def dyadic_max(*xs: Dyadic) -> Dyadic:
-    best = xs[0]
-    for x in xs[1:]:
-        if x > best:
-            best = x
-    return best
 
 
 class EpsilonSchedule(Frozen):
@@ -204,17 +198,19 @@ def distance(
         # Agreement to the budget depth; if the common prefix carries the
         # infinity marker the points are equal augmented points, handled above.
         return Bounded(schedule(common.seq))
-    candidates = []
+    best = None
     for p in (a, b):
         r = p.restrict(i, budget)
         if not r.marked:
-            candidates.append(schedule(r.seq))
-    if not candidates:
+            eps = schedule(r.seq)
+            if best is None or eps > best:
+                best = eps
+    if best is None:
         raise AssertionError(
             "both split restrictions carry the infinity marker; "
             "impossible for distinct points"
         )
-    return Exact(dyadic_max(*candidates))
+    return Exact(best)
 
 
 def ball_member(

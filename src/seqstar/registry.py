@@ -79,7 +79,8 @@ def _check_kind(a, b, kind: type) -> None:
 
 
 def _abs_diff(a: Dyadic, b: Dyadic) -> Dyadic:
-    _check_kind(a, b, Dyadic)
+    if a.__class__ is not Dyadic or b.__class__ is not Dyadic:
+        _check_kind(a, b, Dyadic)
     return a.abs_diff(b)
 
 

@@ -260,13 +260,50 @@ def restrict(p: Point, i: int, budget: DepthBudget | None = None) -> Prefix:
     return p.restrict(i, budget)
 
 
+_STOP, _MARK = "stop", "marker"
+
+
+def _presented(p: Point, n: int) -> tuple[Seq, str | None] | None:
+    """The coordinates that decide p|1, ..., p|n, and how p goes on past
+    them: a finite point's restrictions stop growing, an augmented point's
+    gain the marker, and a periodic point's n coordinates do not run out.
+    None for a lazy point, which shows itself only through restrict."""
+    cls = p.__class__
+    if cls is FinitePoint:
+        return p.seq, _STOP
+    if cls is AugmentedPoint:
+        return p.seq, _MARK
+    if cls is PeriodicPoint:
+        return p._prefix(n), None
+    return None
+
+
 def split_index(a: Point, b: Point, budget: DepthBudget | None = None) -> int | Undetermined:
-    """Least i with a|i != b|i, or Undetermined if they agree to the budget depth."""
+    """Least i with a|i != b|i, or Undetermined if they agree to the budget depth.
+
+    Finitely presented points are compared coordinate by coordinate; past
+    its last coordinate a finite or augmented point reads as its end kind."""
     budget = budget or DEFAULT_BUDGET
-    for i in range(1, budget.depth + 1):
-        if a.restrict(i, budget) != b.restrict(i, budget):
-            return i
-    return Undetermined(budget.depth)
+    depth = budget.depth
+    pa, pb = _presented(a, depth), _presented(b, depth)
+    if pa is None or pb is None:
+        for i in range(1, depth + 1):
+            if a.restrict(i, budget) != b.restrict(i, budget):
+                return i
+        return Undetermined(depth)
+    (sa, ea), (sb, eb) = pa, pb
+    n = min(len(sa), len(sb), depth)
+    k = 0
+    while k < n and sa[k] == sb[k]:
+        k += 1
+    if k < n:
+        return k + 1
+    # Agreement on n coordinates.  Short of the depth, one point has ended:
+    # the other has a coordinate there or ends another way, unless both
+    # end alike, and then the points are equal.
+    if n == depth or (len(sa) == len(sb) and ea == eb):
+        return Undetermined(depth)
+    return n + 1
 
 
 def cone_member(t: Seq, p: Point, budget: DepthBudget | None = None) -> bool:

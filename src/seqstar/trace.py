@@ -13,7 +13,7 @@ from typing import Any, Callable
 from .constructions import SpaceFunction
 from .embeddings import Agrees, Valid, meet_preservation_oracle, validate
 from .metric import Dyadic
-from .sequences import AugmentedPoint, Record, Seq
+from .sequences import AugmentedPoint, Point, Record, Seq
 from .serialize import (
     ParseError,
     _seq,
@@ -86,11 +86,34 @@ def _resolve_function(trace: dict) -> SpaceFunction | None:
     return None if spec is None else build_function(spec)
 
 
-def _check_cert(cert: dict, trace: dict, phi: SpaceFunction | None,
-                table: dict[Seq, Seq]) -> str | None:
-    """Return a failure message, or None when the certificate holds."""
-    from .registry import tree_family, tree_set
+class _Memo:
+    """What the certificates of one stage share: phi's value at each point
+    and each bound parsed, each worked out once."""
 
+    def __init__(self, phi: SpaceFunction | None):
+        self.phi = phi
+        self.values: dict[Point, Any] = {}
+        self.bounds: dict[str, Dyadic] = {}
+
+    def value(self, p: Point) -> Any:
+        v = self.values.get(p)
+        if v is None:
+            v = self.values[p] = self.phi.evaluate(p)
+        return v
+
+    def dyadic(self, cert: _Fields, key: str) -> Dyadic:
+        raw = cert[key]
+        if raw.__class__ is not str:
+            return cert.dyadic(key)  # raises ParseError naming the field
+        d = self.bounds.get(raw)
+        if d is None:
+            d = self.bounds[raw] = cert.dyadic(key)
+        return d
+
+
+def _check_cert(cert: dict, trace: dict, phi: SpaceFunction | None,
+                table: dict[Seq, Seq], memo: _Memo) -> str | None:
+    """Return a failure message, or None when the certificate holds."""
     kind = cert.get("kind")
     if kind == "valid_table":
         depth, branch = _table_range(table)
@@ -101,6 +124,8 @@ def _check_cert(cert: dict, trace: dict, phi: SpaceFunction | None,
         r = meet_preservation_oracle(table, depth, branch)
         return None if isinstance(r, Agrees) else f"meet preservation failed: {r}"
     if kind == "in_set":
+        from .registry import tree_family, tree_set
+
         node = cert.node("node")
         if "family_level" in cert:
             family = tree_family(trace.read("family", _typed(str, "a tree family name")))
@@ -116,22 +141,22 @@ def _check_cert(cert: dict, trace: dict, phi: SpaceFunction | None,
         return f"certificate {kind!r} needs a cone_diameter oracle, which {phi.name} lacks"
 
     def value_at(key: str):
-        return phi.evaluate(cert.read(key, point_from_json))
+        return memo.value(cert.read(key, point_from_json))
 
     if kind == "diam_lt":
         node = cert.node("node")
-        eps = cert.dyadic("eps")
+        eps = memo.dyadic(cert, "eps")
         got = phi.cone_diameter(node)
         return None if got < eps else f"diam_lt: cone_diameter({node}) = {got} not < {eps}"
     if kind in ("value_dist_lt", "value_dist_le", "value_dist_ge"):
         d = phi.value_distance(value_at("a"), value_at("b"))
-        bound = cert.dyadic("bound")
+        bound = memo.dyadic(cert, "bound")
         ok = {"value_dist_lt": d < bound, "value_dist_le": d <= bound,
               "value_dist_ge": d >= bound}[kind]
         return None if ok else f"{kind}: distance {d} vs bound {bound}"
     if kind == "avoid_value":
         d = phi.value_distance(value_at("a"), cert.read("x", value_from_json))
-        bound = cert.dyadic("bound")
+        bound = memo.dyadic(cert, "bound")
         if cert.get("op") == "lt":
             return None if d < bound else f"avoid_value: distance {d} not < {bound}"
         if bound.is_zero() or d < bound:
@@ -139,7 +164,7 @@ def _check_cert(cert: dict, trace: dict, phi: SpaceFunction | None,
         return None
     if kind == "avoid_pair":
         d = phi.value_distance(value_at("a"), value_at("b"))
-        bound = cert.dyadic("bound")
+        bound = memo.dyadic(cert, "bound")
         if bound.is_zero() or d < bound:
             return f"avoid_pair: distance {d} below positive bound {bound}"
         return None
@@ -148,12 +173,12 @@ def _check_cert(cert: dict, trace: dict, phi: SpaceFunction | None,
         lim = phi.cone_diameter(cert.node("na")) + phi.cone_diameter(cert.node("nb"))
         return None if d > lim else f"dist_gt_sum: {d} not > {lim}"
     if kind == "cone_value_diam_lt":
-        eps = cert.dyadic("eps")
+        eps = memo.dyadic(cert, "eps")
         members = cert["members"]
         if not isinstance(members, list):
             raise ParseError(f"{cert.path}.members must be a list of nodes")
         members = [_seq(m, f"{cert.path}.members") for m in members]
-        vals = [phi.evaluate(AugmentedPoint(m)) for m in members]
+        vals = [memo.value(AugmentedPoint(m)) for m in members]
         for (ma, va), (mb, vb) in combinations(zip(members, vals), 2):
             d = phi.value_distance(va, vb)
             if not d < eps:
@@ -182,9 +207,10 @@ def _recheck(trace: dict, path: str) -> RecheckReport:
     table = _Fields(table_from_json(trace.get("table", {})), f"{path}.table")
     report = RecheckReport(True, 0)
     fields = _Fields(trace, path)
+    memo = _Memo(phi)
     for i, cert in enumerate(trace["certificates"]):
         report.checked += 1
-        msg = _check_cert(_Fields(cert, f"{path}.certificates[{i}]"), fields, phi, table)
+        msg = _check_cert(_Fields(cert, f"{path}.certificates[{i}]"), fields, phi, table, memo)
         if msg is not None:
             report.ok = False
             report.failures.append(msg)

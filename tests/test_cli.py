@@ -272,3 +272,13 @@ def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
         if expected is not None:
             pattern = ".*".join(map(re.escape, expected.split("...")))
             assert re.fullmatch(pattern, out), (argv, out)
+
+
+def test_a_step_budget_that_runs_out_mid_search_reports_its_stage(capsys):
+    # The first branch fails; 300 steps run out in a node search of the second.
+    code, out, err = run(capsys, "construct", "discrete-refine", "--fn", "entry-sum",
+                         "--depth", "2", "--branch", "3", "--steps", "300")
+    assert (code, out) == (4, "")
+    assert json.loads(err) == {"error": {"kind": "budget",
+                                         "message": "step budget exhausted in discrete_refine",
+                                         "stage": "discrete_refine"}}

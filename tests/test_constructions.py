@@ -1,8 +1,9 @@
 import copy
 import json
+from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from seqstar.constructions import (
     ClosureAvoidsF,
@@ -35,10 +36,12 @@ from seqstar.constructions import (
     ramsey_split,
     shrink_or_discrete,
 )
+from seqstar.constructions import _LOCAL_CAP, _SearchFailed, _Steps, _find, _word_pool
 from seqstar.embeddings import Valid, validate
 from seqstar.metric import Dyadic, weight_schedule
 from seqstar.registry import FUNCTIONS, space_function, tree_family, tree_set
 from seqstar.sequences import BudgetExceeded, DepthBudget, DomainMismatch, PeriodicPoint
+from seqstar.serialize import point_from_json
 from seqstar.trace import recheck
 
 BUDGET = DepthBudget(depth=48, branch=32, steps=2_000_000)
@@ -306,3 +309,80 @@ def test_registry_values_do_not_depend_on_how_a_point_is_written(head, period, u
         except DomainMismatch:
             continue
         assert phi.value_distance(value, phi.evaluate(q)) == Dyadic.zero(), (name, p, q)
+
+
+# --- the candidate search against its generator form ----------------------
+
+
+def find_by_generator(pred, candidates, steps):
+    """The search as a loop over a candidate generator, one tick per candidate."""
+    for n, c in enumerate(candidates):
+        if n >= _LOCAL_CAP:
+            break
+        steps.tick()
+        if pred(c):
+            return c
+    raise _SearchFailed
+
+
+def search_outcome(search, steps):
+    try:
+        return "found", search(), steps.left
+    except BudgetExceeded as e:
+        return "budget", e.stage, str(e), e.partial, steps.left
+    except _SearchFailed:
+        return "failed", steps.left
+    except ZeroDivisionError:
+        return "predicate raised", steps.left
+
+
+@given(branch=st.integers(1, 6), lo=st.integers(0, 400), size=st.integers(0, 900),
+       start=st.lists(st.integers(0, 3), max_size=3).map(tuple),
+       hits=st.sets(st.integers(0, 900), max_size=4), boom=st.none() | st.integers(0, 900),
+       total=st.integers(1, 1200), node=st.none() | st.lists(st.integers(0, 2), max_size=2).map(tuple))
+@example(branch=6, lo=0, size=900, start=(1,), hits={_LOCAL_CAP}, boom=None, total=1200, node=())
+@example(branch=6, lo=0, size=900, start=(), hits={_LOCAL_CAP - 1}, boom=None, total=1200, node=None)
+@example(branch=4, lo=0, size=900, start=(), hits={40}, boom=30, total=1200, node=None)
+@example(branch=4, lo=0, size=900, start=(), hits={40}, boom=None, total=40, node=None)
+@example(branch=4, lo=0, size=900, start=(), hits={40}, boom=None, total=41, node=(0,))
+def test_find_matches_the_generator_search(branch, lo, size, start, hits, boom, total, node):
+    pool = _word_pool(branch)[lo:lo + size]
+    accept = {start + pool[i] for i in hits if i < len(pool)}
+    fail = start + pool[boom] if boom is not None and boom < len(pool) else None
+
+    def pred(c, *u):
+        assert list(u) == ([] if node is None else [node])
+        if c == fail:
+            raise ZeroDivisionError
+        return c in accept
+
+    old, new = _Steps(total, "stage-x"), _Steps(total, "stage-x")
+    extra = () if node is None else (node,)
+    want = search_outcome(lambda: find_by_generator(lambda c: pred(c, *extra),
+                                                    (start + w for w in pool), old), old)
+    got = search_outcome(lambda: _find(pred, start, pool, new, *extra), new)
+    assert got == want
+
+
+def test_recheck_evaluates_each_point_once_per_stage_and_still_catches_tampering(monkeypatch):
+    phi = space_function("baire-identity")
+    mode, pe = discrete_refine(phi, SCHED, 2, 3)
+    assert isinstance(mode, PairwiseAvoidance)
+    doc = json.loads(json.dumps(pe.trace))
+    calls = Counter()
+    evaluate = phi.evaluate
+
+    def counting(p):
+        calls[p] += 1
+        return evaluate(p)
+
+    monkeypatch.setattr(phi, "evaluate", counting)
+    assert recheck(doc).ok
+    points = {point_from_json(c[k]) for c in doc["certificates"] for k in ("a", "b") if k in c}
+    assert set(calls) == points and set(calls.values()) == {1}
+    # A certificate whose two points are one point must still fail.
+    cert = next(c for c in doc["certificates"] if c["kind"] == "avoid_pair")
+    cert["b"] = cert["a"]
+    report = recheck(doc)
+    assert not report.ok and len(report.failures) == 1
+    assert report.failures[0].startswith("avoid_pair: distance 0 below positive bound")

@@ -3,10 +3,19 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from seqstar.metric import Bounded, Dyadic, Exact, ball_member, distance, weight_schedule
-from seqstar.sequences import AugmentedPoint, DepthBudget, FinitePoint, InfinitePoint, PeriodicPoint
+from seqstar.sequences import (
+    DEFAULT_BUDGET,
+    AugmentedPoint,
+    DepthBudget,
+    FinitePoint,
+    InfinitePoint,
+    PeriodicPoint,
+    Undetermined,
+    split_index,
+)
 
 SCHED = weight_schedule()
 
@@ -61,6 +70,12 @@ dyadic_args = st.tuples(st.integers(0, 2 ** 80), st.integers(-8, 90))
 
 
 @given(dyadic_args, dyadic_args)
+@example((0, 70), (0, 3))  # zero, whatever its exponent
+@example((0, 0), (5, 66))
+@example((3, 2), (6, 3))  # equal values
+@example((2 ** 70, 70), (1, 0))
+@example((5, 66), (3, 65))  # exponents above 64
+@example((2 ** 80, 90), (2 ** 79 + 1, 89))
 def test_dyadic_agrees_with_fractions(a, b):
     x, y = Dyadic(*a), Dyadic(*b)
     fx, fy = Fraction(a[0]) / Fraction(2) ** a[1], Fraction(b[0]) / Fraction(2) ** b[1]
@@ -71,6 +86,16 @@ def test_dyadic_agrees_with_fractions(a, b):
     if fx >= fy:
         assert value(x - y) == fx - fy
     assert (x < y) == (fx < fy) and (x == y) == (fx == fy)
+    assert (x <= y) == (fx <= fy) and (x > y) == (fx > fy) and (x >= y) == (fx >= fy)
+    assert value(x.abs_diff(y)) == abs(fx - fy) == value(y.abs_diff(x))
+
+
+@given(dyadic_args, st.integers(0, 70))
+def test_dyadic_compares_equal_values_written_two_ways(a, k):
+    x = Dyadic(*a)
+    y = Dyadic(x.num << k, x.exp + k)  # the same value, renormalised
+    assert x == y and x <= y and x >= y and not x < y and not x > y
+    assert x.abs_diff(y).is_zero() and y.abs_diff(x).is_zero()
 
 
 def test_schedule_values():
@@ -151,3 +176,73 @@ def test_randomized_ultrametric_mixed():
         ab, bc, ac = d(a, b), d(b, c), d(a, c)
         assert ac <= max(ab, bc)
         assert ab == d(b, a)
+
+
+# --- split index and distance against the restriction loop ---------------
+
+WIDE = DepthBudget(depth=200)
+
+
+def split_by_restrict(a, b, budget):
+    """The least i with a|i != b|i, found by comparing restrictions."""
+    for i in range(1, budget.depth + 1):
+        if a.restrict(i, budget) != b.restrict(i, budget):
+            return i
+    return Undetermined(budget.depth)
+
+
+def distance_by_restrict(a, b, budget):
+    if a == b:
+        return Exact(Dyadic.zero())
+    i = split_by_restrict(a, b, budget)
+    if isinstance(i, Undetermined):
+        return Bounded(SCHED(a.restrict(i.depth, budget).seq))
+    rs = [p.restrict(i, budget) for p in (a, b)]
+    return Exact(max(SCHED(r.seq) for r in rs if not r.marked))
+
+
+def written_again(p, unroll, reps):
+    """p written another way: a periodic point with `unroll` more head
+    coordinates and its rotated period `reps` times, a lazy point behind
+    another oracle, a finite or augmented point as a fresh copy."""
+    if isinstance(p, PeriodicPoint):
+        k = unroll % len(p.period)
+        head = p.restrict(len(p.head) + unroll, WIDE).seq
+        return PeriodicPoint(head, (p.period[k:] + p.period[:k]) * reps)
+    if isinstance(p, InfinitePoint):
+        return InfinitePoint(lambda i: p.restrict(i, WIDE).seq)
+    return type(p)(tuple(list(p.seq)))
+
+
+@st.composite
+def point_pairs(draw):
+    """Two points sharing a long run of coordinates (heads up to 70+)."""
+    base = draw(st.lists(st.integers(0, 2), max_size=70))
+    entries = st.lists(st.integers(0, 2), max_size=3)
+
+    def point():
+        seq = tuple(base[:draw(st.integers(0, len(base)))]) + tuple(draw(entries))
+        kind = draw(st.sampled_from(["finite", "augmented", "periodic", "lazy"]))
+        if kind == "finite":
+            return FinitePoint(seq)
+        if kind == "augmented":
+            return AugmentedPoint(seq)
+        p = PeriodicPoint(seq, tuple(draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))))
+        if kind == "lazy":
+            return InfinitePoint(lambda i: p.restrict(i, WIDE).seq)
+        return p
+
+    a = point()
+    if draw(st.booleans()):
+        return a, point()
+    return a, written_again(a, draw(st.integers(0, 6)), draw(st.integers(1, 3)))
+
+
+@settings(max_examples=400)
+@given(point_pairs(), st.integers(1, 10))
+def test_split_index_and_distance_match_the_restriction_loop(pair, depth):
+    a, b = pair
+    for budget in (DepthBudget(depth=depth), DEFAULT_BUDGET):
+        for p, q in ((a, b), (b, a)):
+            assert split_index(p, q, budget) == split_by_restrict(p, q, budget)
+            assert distance(p, q, SCHED, budget) == distance_by_restrict(p, q, budget)
