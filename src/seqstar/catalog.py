@@ -8,7 +8,7 @@ on points and compared for structural equality.
 from __future__ import annotations
 
 import enum
-from typing import Any, Sequence
+from typing import Sequence
 
 from .embeddings import MeetEmbedding, extend
 from .sequences import (
@@ -97,32 +97,19 @@ INFTY = _Infinity()
 class TaggedValue(Frozen):
     __slots__ = ("space", "payload")
 
-    def __init__(self, space: SpaceTag, payload: Any):
-        set_field(self, "space", space)
-        set_field(self, "payload", payload)
-
 
 class Left(Frozen):
     __slots__ = ("payload",)
 
-    def __init__(self, payload: Any):
-        set_field(self, "payload", payload)
-
 
 class Right(Frozen):
     __slots__ = ("payload",)
-
-    def __init__(self, payload: Any):
-        set_field(self, "payload", payload)
 
 
 class Const(Frozen):
     """Collapse a domain to the adjoined point."""
 
     __slots__ = ("domain",)
-
-    def __init__(self, domain: SpaceTag):
-        set_field(self, "domain", domain)
 
 
 class Inclusion(Frozen):
@@ -152,9 +139,6 @@ class UnionWithP(Frozen):
     augmented points."""
 
     __slots__ = ("baire_part",)
-
-    def __init__(self, baire_part: "CatalogFunction"):
-        set_field(self, "baire_part", baire_part)
 
 
 class DisjointUnion(Frozen):
@@ -248,15 +232,9 @@ class CertifiedPairing(Record):
 
     __slots__ = ("psi",)
 
-    def __init__(self, psi: dict):
-        self.psi = psi
-
 
 class Mismatch(Frozen):
     __slots__ = ("witness",)
-
-    def __init__(self, witness: Point):
-        set_field(self, "witness", witness)
 
 
 def _value_key(v: TaggedValue):

@@ -30,7 +30,6 @@ from .sequences import (
     Seq,
     is_prefix,
     nodes_in_range,
-    set_field,
     weight,
 )
 from .embeddings import MeetEmbedding, Valid, extend, validate
@@ -57,10 +56,6 @@ class TreeFamily(Frozen):
 
     __slots__ = ("name", "level")
 
-    def __init__(self, name: str, level: Callable[[int], TreeSetOracle]):
-        set_field(self, "name", name)
-        set_field(self, "level", level)
-
     def __call__(self, n: int) -> TreeSetOracle:
         return self.level(n)
 
@@ -69,11 +64,12 @@ class SpaceFunction(Record):
     """A function into a metric space, presented through oracles.
 
     cone_diameter(t) upper-bounds the diameter of the image of the cone at
-    t and must be monotone along prefixes; sample(t) returns a point of the
-    cone at t suitable for probing values.
+    t and must be monotone along prefixes.  Where a construction probes the
+    values on the cone at t, it samples the point PeriodicPoint(t, (0,)),
+    t followed by zeros, which stays finitely presented in every trace.
     """
 
-    __slots__ = ("name", "evaluate", "value_distance", "cone_diameter", "sample", "spec")
+    __slots__ = ("name", "evaluate", "value_distance", "cone_diameter", "spec")
 
     def __init__(
         self,
@@ -81,20 +77,13 @@ class SpaceFunction(Record):
         evaluate: Callable[[Point], Value],
         value_distance: Callable[[Value, Value], Dyadic],
         cone_diameter: Callable[[Seq], Dyadic] | None = None,
-        sample: Callable[[Seq], Point] | None = None,
         spec: dict | None = None,
     ):
         self.name = name
         self.evaluate = evaluate
         self.value_distance = value_distance
         self.cone_diameter = cone_diameter
-        self.sample = sample
         self.spec = {"name": name} if spec is None else spec
-
-    def sample_point(self, t: Seq) -> Point:
-        if self.sample is not None:
-            return self.sample(t)
-        return PeriodicPoint(t, (0,))
 
 
 def compose_function(phi: SpaceFunction, table: dict[Seq, Seq]) -> SpaceFunction:
@@ -106,9 +95,6 @@ def compose_function(phi: SpaceFunction, table: dict[Seq, Seq]) -> SpaceFunction
         value_distance=phi.value_distance,
         cone_diameter=(None if phi.cone_diameter is None
                        else lambda t: phi.cone_diameter(pi.apply(t))),
-        # Samples stay in the composed domain (evaluate applies the
-        # embedding); this keeps every traced point finitely presented.
-        sample=lambda t: PeriodicPoint(t, (0,)),
         spec={"base": phi.spec, "precompose": table_to_json(table)},
     )
 
@@ -131,22 +117,13 @@ class Convergent(Frozen):
 class Discrete(Frozen):
     __slots__ = ("eps",)
 
-    def __init__(self, eps: Dyadic):
-        set_field(self, "eps", eps)
-
 
 class DiscreteInjection(Frozen):
     __slots__ = ("eps",)
 
-    def __init__(self, eps: Dyadic):
-        set_field(self, "eps", eps)
-
 
 class InsideBall(Frozen):
     __slots__ = ("center",)
-
-    def __init__(self, center: Value):
-        set_field(self, "center", center)
 
 
 class DiameterToZero(Frozen):
@@ -156,10 +133,6 @@ class DiameterToZero(Frozen):
 class SeparatedClosure(Frozen):
     __slots__ = ("s", "delta")
 
-    def __init__(self, s: Seq, delta: Dyadic):
-        set_field(self, "s", s)
-        set_field(self, "delta", delta)
-
 
 class ContinuousAtBaire(Frozen):
     __slots__ = ()
@@ -168,16 +141,9 @@ class ContinuousAtBaire(Frozen):
 class ConvergesToMember(Frozen):
     __slots__ = ("x",)
 
-    def __init__(self, x: Value):
-        set_field(self, "x", x)
-
 
 class ClosureAvoidsF(Frozen):
     __slots__ = ("eps", "u")
-
-    def __init__(self, eps: Dyadic, u: Seq):
-        set_field(self, "eps", eps)
-        set_field(self, "u", u)
 
 
 class GlobalConvergence(Frozen):
@@ -560,7 +526,7 @@ def disjointify(
     certs: list[dict] = []
 
     def children(t: Seq, r: Seq) -> list[Seq]:
-        samples = [phi.sample_point(r + (i,)) for i in range(out_branch)]
+        samples = [PeriodicPoint(r + (i,), (0,)) for i in range(out_branch)]
         values = [phi.evaluate(p) for p in samples]
         for a in range(out_branch):
             for b in range(a + 1, out_branch):
@@ -621,13 +587,13 @@ def limit_refine(
     pool = _word_pool(out_branch)
 
     def near(img: Seq, node: Seq) -> bool:
-        b = phi.sample_point(img)
+        b = PeriodicPoint(img, (0,))
         d = phi.value_distance(phi.evaluate(b), phi.evaluate(AugmentedPoint(img)))
         return d < schedule(node)
 
     try:
         table = _refine(near, [()], pool, steps, out_depth, out_branch)
-        certs = [_cmp("value_dist_lt", phi.sample_point(img), AugmentedPoint(img), schedule(t))
+        certs = [_cmp("value_dist_lt", PeriodicPoint(img, (0,)), AugmentedPoint(img), schedule(t))
                  for t, img in table.items()]
         trace = _std_trace("limit_refine",
                            {"depth": out_depth, "branch": out_branch,
@@ -640,7 +606,7 @@ def limit_refine(
     aug_words = [w for w in pool if len(w) <= 2][:12]
     for s in nodes_in_range(2, max(out_branch, 3)):
         steps.tick()
-        baire = [phi.sample_point(s + w) for w in aug_words[:6]]
+        baire = [PeriodicPoint(s + w, (0,)) for w in aug_words[:6]]
         augs = [AugmentedPoint(s + w) for w in aug_words]
         delta = None
         for b in baire:
@@ -676,8 +642,11 @@ def epsilon_discrete_or_ball(
 
     The discrete branch walks nodes in canonical enumeration order; the
     image of the n-th node extends its parent's image by the child
-    coordinate n, so sibling divergence is automatic.
+    coordinate n, so sibling divergence is automatic.  A zero eps is a
+    DomainMismatch: every distance is >= 0, so it would certify nothing.
     """
+    if eps.is_zero():
+        raise DomainMismatch("eps must be positive, got 0")
     budget = budget or DEFAULT_BUDGET
     t = tuple(t)
     steps = _Steps(budget.steps, "epsilon_discrete_or_ball")
@@ -971,7 +940,7 @@ def disjoint_refine(
         raise BudgetExceeded("no witness prefix with small enough image diameter",
                              stage="disjoint_refine")
     certs = [{"kind": "diam_lt", "node": list(s), "eps": str(third)},
-             _cmp("value_dist_le", phi.sample_point(s), witness, third)]
+             _cmp("value_dist_le", PeriodicPoint(s, (0,)), witness, third)]
     certs += [_cmp("value_dist_ge", witness, AugmentedPoint(u), delta) for u in aug_words]
     table = _prefix_table(s, 2, 3)
     trace = _std_trace("disjoint_refine",
@@ -990,7 +959,7 @@ def classify_baire_function(
     child stabilization (uniform verdict required), and disjointification,
     with the composite table and all stage traces as evidence."""
     budget = budget or DEFAULT_BUDGET
-    probes = [phi.sample_point(t) for t in nodes_in_range(2, 3)[:9]]
+    probes = [PeriodicPoint(t, (0,)) for t in nodes_in_range(2, 3)[:9]]
     values = [phi.evaluate(p) for p in probes]
     if all(phi.value_distance(values[0], v).is_zero() for v in values[1:]):
         certs = [_cmp("value_dist_le", probes[0], p, Dyadic.zero()) for p in probes[1:]]

@@ -185,10 +185,6 @@ class Agrees(Frozen):
 class Disagrees(Frozen):
     __slots__ = ("s", "t")
 
-    def __init__(self, s: Seq, t: Seq):
-        set_field(self, "s", s)
-        set_field(self, "t", t)
-
 
 _ANY = object()  # the oracle's key for images of every kind
 

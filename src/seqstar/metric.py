@@ -6,7 +6,6 @@ floating point is used anywhere.
 from __future__ import annotations
 
 import re
-from typing import Callable
 
 from .sequences import (
     DEFAULT_BUDGET,
@@ -144,10 +143,6 @@ class EpsilonSchedule(Frozen):
     prefix order and vanishing per weight level."""
 
     __slots__ = ("name", "rule")
-
-    def __init__(self, name: str, rule: Callable[[Seq], Dyadic]):
-        set_field(self, "name", name)
-        set_field(self, "rule", rule)
 
     def __call__(self, t: Seq) -> Dyadic:
         return self.rule(t)

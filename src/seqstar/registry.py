@@ -160,21 +160,18 @@ FUNCTIONS: dict[str, SpaceFunction] = {
         evaluate=lambda p: p,
         value_distance=_split_metric,
         cone_diameter=lambda t: Dyadic(1, len(t)),
-        sample=lambda t: PeriodicPoint(t, (0,)),
     ),
     "compactify-identity": SpaceFunction(
         name="compactify-identity",
         evaluate=lambda p: p,
         value_distance=_module_metric,
         cone_diameter=lambda t: Dyadic(1, weight(t) + 1),
-        sample=lambda t: PeriodicPoint(t, (0,)),
     ),
     "prefix-embed": SpaceFunction(
         name="prefix-embed",
         evaluate=lambda p: extend(_PREFIX0, p),
         value_distance=_module_metric,
         cone_diameter=lambda t: Dyadic(1, weight(t) + 2),
-        sample=lambda t: PeriodicPoint(t, (0,)),
     ),
     "half-eps-diam": _rational(
         "half-eps-diam", lambda t: Dyadic.zero(),

@@ -37,13 +37,24 @@ set_field = object.__setattr__  # how a Frozen value's __init__ sets its fields
 
 
 class Record:
-    """Base of the value types.  A subclass names its fields in ``__slots__``
-    and sets them in its own ``__init__``.  Two records are equal iff they
-    have the same class and equal fields; the repr is ``Name(field=value,
-    ...)``.  Records are mutable and therefore unhashable."""
+    """Base of the value types.  A subclass names its fields in ``__slots__``.
+    The generic ``__init__`` takes one positional value per field, in slot
+    order, and stores each with set_field; any other count is a TypeError.
+    A subclass writes its own ``__init__`` only to check values or supply
+    defaults.  Two records are equal iff they have the same class and equal
+    fields; the repr is ``Name(field=value, ...)``.  Records are mutable and
+    therefore unhashable."""
 
     __slots__ = ()
     __hash__ = None
+
+    def __init__(self, *values):
+        slots = self.__slots__
+        if len(values) != len(slots):
+            raise TypeError(f"{type(self).__qualname__}() takes {len(slots)} "
+                            f"positional arguments but {len(values)} were given")
+        for f, v in zip(slots, values):
+            set_field(self, f, v)
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, f) for f in self.__slots__])
@@ -61,7 +72,7 @@ class Record:
 class Frozen(Record):
     """A record whose fields are fixed by ``__init__`` (through set_field)
     and hashed together.  copy and pickle restore the fields through
-    ``__setstate__``, which also uses set_field."""
+    ``__setstate__``, which runs the generic ``Record.__init__``."""
 
     __slots__ = ()
 
@@ -72,8 +83,7 @@ class Frozen(Record):
         return self._fields()
 
     def __setstate__(self, state):
-        for f, v in zip(self.__slots__, state):
-            set_field(self, f, v)
+        Record.__init__(self, *state)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

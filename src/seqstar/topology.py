@@ -24,7 +24,6 @@ from .sequences import (
     cone_member,
     is_prefix,
     nodes_in_range,
-    set_field,
     weight,
 )
 from .metric import Dyadic, EpsilonSchedule, weight_schedule
@@ -33,25 +32,15 @@ from .metric import Dyadic, EpsilonSchedule, weight_schedule
 class Singleton(Frozen):
     __slots__ = ("t",)
 
-    def __init__(self, t: Seq):
-        set_field(self, "t", t)
-
 
 class Cone(Frozen):
     __slots__ = ("t",)
-
-    def __init__(self, t: Seq):
-        set_field(self, "t", t)
 
 
 class ConeMinus(Frozen):
     """The cone at t minus the apex and the child cones j < i."""
 
     __slots__ = ("t", "i")
-
-    def __init__(self, t: Seq, i: int):
-        set_field(self, "t", t)
-        set_field(self, "i", i)
 
 
 BasicClopen = Singleton | Cone | ConeMinus
@@ -97,9 +86,6 @@ class Covers(Frozen):
 
 class Counterexample(Frozen):
     __slots__ = ("point",)
-
-    def __init__(self, point: Point):
-        set_field(self, "point", point)
 
 
 def _covered(family: list[BasicClopen], p: Point) -> bool:

@@ -206,6 +206,14 @@ def test_a_value_of_the_wrong_kind_is_a_domain_error(capsys, argv):
     assert json.loads(err)["error"]["kind"] == "domain"
 
 
+@pytest.mark.parametrize("eps", ["0", "0/4", "0*2^-3"])
+def test_eps_split_rejects_a_zero_eps(capsys, eps):
+    # Every pair of values is at distance >= 0, so a zero eps certifies no injection.
+    code, out, err = run(capsys, "construct", "eps-split", "--fn", "entry-sum", "--eps", eps)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == {"kind": "domain", "message": "eps must be positive, got 0"}
+
+
 FINITE_ROOT = '{"kind":"finite","seq":[]}'
 
 

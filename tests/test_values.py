@@ -161,6 +161,28 @@ def test_equal_iff_same_class_and_fields(cls):
             hash(a)
 
 
+def _arity(cls):
+    """(fewest, most) positional values the class takes: one per field for
+    the generic initialiser, or what the class's own __init__ declares."""
+    init = cls.__dict__.get("__init__")
+    if init is None:
+        return len(cls.__slots__), len(cls.__slots__)
+    most = init.__code__.co_argcount - 1
+    return most - len(init.__defaults__ or ()), most
+
+
+@pytest.mark.parametrize("cls", list(FROZEN) + list(MUTABLE), ids=lambda c: c.__name__)
+def test_a_wrong_number_of_values_is_a_type_error(cls):
+    args, _ = {**FROZEN, **MUTABLE}[cls]
+    fewest, most = _arity(cls)
+    full = args + (None,) * (most - len(args))
+    with pytest.raises(TypeError, match=cls.__name__):
+        cls(*full, None)
+    if fewest:
+        with pytest.raises(TypeError, match=cls.__name__):
+            cls(*full[:fewest - 1])
+
+
 @pytest.mark.parametrize("cls", list(FROZEN), ids=lambda c: c.__name__)
 def test_frozen_values_reject_assignment(cls):
     args, _ = FROZEN[cls]
