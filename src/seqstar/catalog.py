@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from typing import Sequence
 
-from .embeddings import MeetEmbedding, extend
+from . import embeddings as emb  # a module reference: only embed_via loads it
 from .sequences import (
     DEFAULT_BUDGET,
     AugmentedPoint,
@@ -249,7 +249,7 @@ def _value_key(v: TaggedValue):
 
 
 def embed_via(
-    pi: MeetEmbedding,
+    pi: emb.MeetEmbedding,
     f: CatalogFunction,
     phi,
     sample_pairs: Sequence[Point],
@@ -262,7 +262,7 @@ def embed_via(
     psi: dict = {}
     for p in sample_pairs:
         key = _value_key(evaluate(f, p, budget))
-        val = phi.evaluate(extend(pi, p, budget))
+        val = phi.evaluate(emb.extend(pi, p, budget))
         if key in psi:
             if not phi.value_distance(psi[key], val).is_zero():
                 return Mismatch(p)

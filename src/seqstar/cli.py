@@ -1,65 +1,35 @@
 """Command-line front end: JSON in, JSON out, reproducible traces.
 
-Exit codes: 0 success, 2 parse error, 3 domain error, 4 budget error.
+Exit codes: 0 success, 1 stdout closed by its reader, 2 parse error,
+3 domain error, 4 budget error.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import random
 import sys
 from typing import Any
 
-from . import catalog as cat
-from . import constructions as con
-from .embeddings import (
-    Empty,
-    InvalidEmbedding,
-    Valid,
-    extend,
-    preimage_cone,
-    validate,
-)
-from .metric import Exact, distance, weight_schedule
-from .sequences import (
-    AugmentedPoint,
-    BudgetExceeded,
-    DepthBudget,
-    DomainMismatch,
-    FinitePoint,
-    PeriodicPoint,
-    Point,
-    Seq,
-    meet,
-    nodes_in_range,
-)
-from .serialize import (
-    ParseError,
-    _seq,
-    basic_from_json,
-    dyadic_from_json,
-    embedding_from_json,
-    point_from_json,
-    point_to_json,
-    table_to_json,
-)
-from .topology import Counterexample, basic_member, cover_decide, uncovered_descent
-from .trace import recheck
+from . import (catalog as cat, constructions as con, embeddings as emb, metric, registry,
+               sequences as seq, serialize as ser, topology as top, trace)
 
-EXIT_PARSE, EXIT_DOMAIN, EXIT_BUDGET = 2, 3, 4
+EXIT_PIPE, EXIT_PARSE, EXIT_DOMAIN, EXIT_BUDGET = 1, 2, 3, 4
 
 
 def _json_arg(text: str | None, what: str) -> Any:
     if text is None:
-        raise ParseError(f"{what} is required")
+        raise ser.ParseError(f"{what} is required")
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
-        raise ParseError(f"bad JSON for {what}: {e}") from e
+        raise ser.ParseError(f"bad JSON for {what}: {e}") from e
 
 
-def _seq_arg(text: str | None, what: str) -> Seq:
-    return _seq(_json_arg(text, what), what)
+def _seq_arg(text: str | None, what: str) -> seq.Seq:
+    return ser._seq(_json_arg(text, what), what)
 
 
 def _emit(doc: dict) -> int:
@@ -71,10 +41,10 @@ def _emit(doc: dict) -> int:
 
 
 def _cmd_dist(args) -> int:
-    a = point_from_json(_json_arg(args.a, "--a"))
-    b = point_from_json(_json_arg(args.b, "--b"))
-    d = distance(a, b, budget=DepthBudget(depth=args.depth))
-    if isinstance(d, Exact):
+    a = ser.point_from_json(_json_arg(args.a, "--a"))
+    b = ser.point_from_json(_json_arg(args.b, "--b"))
+    d = metric.distance(a, b, budget=seq.DepthBudget(depth=args.depth))
+    if isinstance(d, metric.Exact):
         return _emit({"exact": str(d.value)})
     return _emit({"upper": str(d.upper)})
 
@@ -82,53 +52,53 @@ def _cmd_dist(args) -> int:
 def _cmd_meet(args) -> int:
     s = _seq_arg(args.s, "--s")
     t = _seq_arg(args.t, "--t")
-    return _emit({"meet": list(meet(s, t))})
+    return _emit({"meet": list(seq.meet(s, t))})
 
 
 def _cmd_eps(args) -> int:
     t = _seq_arg(args.t, "--t")
-    return _emit({"eps": str(weight_schedule()(t))})
+    return _emit({"eps": str(metric.weight_schedule()(t))})
 
 
 def _cmd_member(args) -> int:
-    B = basic_from_json(_json_arg(args.set, "--set"))
-    p = point_from_json(_json_arg(args.point, "--point"))
-    return _emit({"member": basic_member(B, p, DepthBudget(depth=args.depth))})
+    B = ser.basic_from_json(_json_arg(args.set, "--set"))
+    p = ser.point_from_json(_json_arg(args.point, "--point"))
+    return _emit({"member": top.basic_member(B, p, seq.DepthBudget(depth=args.depth))})
 
 
 def _parse_family(text: str):
     obj = _json_arg(text, "--family")
     if not isinstance(obj, list):
-        raise ParseError("--family must be a JSON list of basic sets")
-    return [basic_from_json(x) for x in obj]
+        raise ser.ParseError("--family must be a JSON list of basic sets")
+    return [ser.basic_from_json(x) for x in obj]
 
 
 def _cmd_cover_check(args) -> int:
     family = _parse_family(args.family)
-    r = cover_decide(family)
-    if isinstance(r, Counterexample):
-        return _emit({"covers": False, "counterexample": point_to_json(r.point)})
+    r = top.cover_decide(family)
+    if isinstance(r, top.Counterexample):
+        return _emit({"covers": False, "counterexample": ser.point_to_json(r.point)})
     return _emit({"covers": True})
 
 
 def _cmd_descent(args) -> int:
     family = _parse_family(args.family)
     try:
-        p = uncovered_descent(family)
+        p = top.uncovered_descent(family)
     except ValueError as e:
-        raise DomainMismatch(str(e)) from e
-    return _emit({"point": point_to_json(p)})
+        raise seq.DomainMismatch(str(e)) from e
+    return _emit({"point": ser.point_to_json(p)})
 
 
 def _cmd_embed(args) -> int:
-    pi = embedding_from_json(_json_arg(args.pi, "--pi"))
+    pi = ser.embedding_from_json(_json_arg(args.pi, "--pi"))
     depth, branch = args.depth, args.branch
     if args.action == "check":
         try:
-            v = validate(pi.apply, depth, branch)
-        except InvalidEmbedding as e:  # apply checks validate's conditions in its order
+            v = emb.validate(pi.apply, depth, branch)
+        except emb.InvalidEmbedding as e:  # apply checks validate's conditions in its order
             v = e.violation
-        if isinstance(v, Valid):
+        if isinstance(v, emb.Valid):
             return _emit({"valid": True})
         return _emit({"valid": False,
                       "violation": {"t": list(v.t), "i": v.i, "j": v.j}})
@@ -136,16 +106,16 @@ def _cmd_embed(args) -> int:
         t = _seq_arg(args.t, "--t")
         return _emit({"image": list(pi.apply(t))})
     if args.action == "extend":
-        p = point_from_json(_json_arg(args.point, "--point"))
-        return _emit({"point": point_to_json(extend(pi, p))})
+        p = ser.point_from_json(_json_arg(args.point, "--point"))
+        return _emit({"point": ser.point_to_json(emb.extend(pi, p))})
     if args.action == "compose":
-        pi2 = embedding_from_json(_json_arg(args.pi2, "--pi2"))
+        pi2 = ser.embedding_from_json(_json_arg(args.pi2, "--pi2"))
         composed = pi.compose(pi2)
-        table = {t: composed.apply(t) for t in nodes_in_range(depth, branch)}
-        return _emit({"table": table_to_json(table)})
+        table = {t: composed.apply(t) for t in seq.nodes_in_range(depth, branch)}
+        return _emit({"table": ser.table_to_json(table)})
     t = _seq_arg(args.t, "--t")
-    r = preimage_cone(pi, t, depth, branch)
-    if isinstance(r, Empty):
+    r = emb.preimage_cone(pi, t, depth, branch)
+    if isinstance(r, emb.Empty):
         return _emit({"empty": True, "range_limited": r.range_limited})
     return _emit({"cone": list(r.t)})
 
@@ -158,26 +128,26 @@ def _tagged_to_json(v: cat.TaggedValue) -> dict:
             return {"left": payload(x.payload)}
         if isinstance(x, cat.Right):
             return {"right": payload(x.payload)}
-        if isinstance(x, Point):
-            return point_to_json(x)
+        if isinstance(x, seq.Point):
+            return ser.point_to_json(x)
         if isinstance(x, tuple):
             return list(x)
-        raise ParseError(f"unserializable payload {x!r}")
+        raise ser.ParseError(f"unserializable payload {x!r}")
 
     return {"space": v.space.value, "payload": payload(v.payload)}
 
 
-def _domain_samples(f: cat.CatalogFunction, n: int, seed: int) -> list[Point]:
+def _domain_samples(f: cat.CatalogFunction, n: int, seed: int) -> list[seq.Point]:
     rng = random.Random(seed)
     dom = cat.domain_of(f)
-    out: list[Point] = []
+    out: list[seq.Point] = []
     seen: set = set()
     tries = 0
     while len(out) < n and tries < 50 * n:
         tries += 1
         t = tuple(rng.randrange(4) for _ in range(rng.randrange(4)))
-        choices = [p for p in (FinitePoint(t), AugmentedPoint(t),
-                               PeriodicPoint(t, (1,)))
+        choices = [p for p in (seq.FinitePoint(t), seq.AugmentedPoint(t),
+                               seq.PeriodicPoint(t, (1,)))
                    if cat.tag_member(dom, p)]
         if not choices:
             continue
@@ -195,24 +165,22 @@ def _cmd_catalog(args) -> int:
         return _emit({"count": len(fns),
                       "functions": [cat.descriptor_to_json(f) for f in fns]})
     if not 0 <= args.fn < len(fns):
-        raise ParseError(f"--fn must be in [0, {len(fns)})")
+        raise ser.ParseError(f"--fn must be in [0, {len(fns)})")
     f = fns[args.fn]
     if args.action == "eval":
-        p = point_from_json(_json_arg(args.point, "--point"))
+        p = ser.point_from_json(_json_arg(args.point, "--point"))
         return _emit({"value": _tagged_to_json(cat.evaluate(f, p))})
-    pi = embedding_from_json(_json_arg(args.pi, "--pi"))
-    from .registry import space_function
-
-    phi = space_function("compactify-identity")
+    pi = ser.embedding_from_json(_json_arg(args.pi, "--pi"))
+    phi = registry.space_function("compactify-identity")
     samples = _domain_samples(f, args.samples, args.seed)
     r = cat.embed_via(pi, f, phi, samples)
     if isinstance(r, cat.Mismatch):
-        return _emit({"pairing": False, "witness": point_to_json(r.witness)})
+        return _emit({"pairing": False, "witness": ser.point_to_json(r.witness)})
     return _emit({"pairing": True, "samples": len(samples),
                   "distinct_outputs": len(r.psi)})
 
 
-def _root(args) -> Seq:
+def _root(args) -> seq.Seq:
     return _seq_arg(args.root, "--root")
 
 
@@ -222,18 +190,18 @@ _CONSTRUCT = {
     "ramsey": ("set", lambda o, a, *r: con.ramsey_split(o, *r)[1]),
     "category": ("family", lambda o, a, *r: con.category_refine(o, _root(a), *r)),
     "continuity": ("family", lambda o, a, *r: con.continuity_refine(o, _root(a), *r)),
-    "shrink": ("fn", lambda o, a, *r: con.diameter_shrink(o, weight_schedule(), *r)),
+    "shrink": ("fn", lambda o, a, *r: con.diameter_shrink(o, metric.weight_schedule(), *r)),
     "stabilize": ("fn", lambda o, a, *r: con.children_stabilize(o, a.selector_budget, *r)[0]),
     "disjointify": ("fn", lambda o, a, *r: con.disjointify(o, *r)),
-    "limit": ("fn", lambda o, a, *r: con.limit_refine(o, weight_schedule(), *r)[1]),
+    "limit": ("fn", lambda o, a, *r: con.limit_refine(o, metric.weight_schedule(), *r)[1]),
     "eps-split": ("fn", lambda o, a, *r: con.epsilon_discrete_or_ball(
-        o, dyadic_from_json(a.eps), _root(a), *r)[1]),
+        o, ser.dyadic_from_json(a.eps), _root(a), *r)[1]),
     "shrink-or-discrete": ("fn", lambda o, a, *r:
-                           con.shrink_or_discrete(o, weight_schedule(), *r)[1]),
-    "avoid": ("fn", lambda o, a, *r: con.point_avoid(o, dyadic_from_json(a.x), r[2])[1]),
+                           con.shrink_or_discrete(o, metric.weight_schedule(), *r)[1]),
+    "avoid": ("fn", lambda o, a, *r: con.point_avoid(o, ser.dyadic_from_json(a.x), r[2])[1]),
     "finite-avoid": ("fn", lambda o, a, *r: con.finite_avoid_or_converge(
-        o, [dyadic_from_json(s.strip()) for s in a.values.split(";")], _root(a), *r)[1]),
-    "discrete-refine": ("fn", lambda o, a, *r: con.discrete_refine(o, weight_schedule(), *r)[1]),
+        o, [ser.dyadic_from_json(s.strip()) for s in a.values.split(";")], _root(a), *r)[1]),
+    "discrete-refine": ("fn", lambda o, a, *r: con.discrete_refine(o, metric.weight_schedule(), *r)[1]),
     "classify": ("fn", lambda o, a, *r: con.classify_baire_function(o, *r)[1]),
 }
 
@@ -249,16 +217,14 @@ def _cmd_construct(args) -> int:
                     text = fh.read()
             except OSError:
                 pass  # treat the argument as inline JSON
-        report = recheck(_json_arg(text, "trace"))
+        report = trace.recheck(_json_arg(text, "trace"))
         return _emit({"ok": report.ok, "checked": report.checked,
                       "failures": report.failures})
-    from . import registry
-
     flag, build = _CONSTRUCT[args.op]
     lookup = {"set": registry.tree_set, "family": registry.tree_family,
               "fn": registry.space_function}[flag]
     pe = build(lookup(getattr(args, flag)), args, args.depth, args.branch,
-               DepthBudget(steps=args.steps))
+               seq.DepthBudget(steps=args.steps))
     return _emit(pe.trace)
 
 
@@ -269,7 +235,7 @@ class _Parser(argparse.ArgumentParser):
     """Reports bad arguments as a ParseError, so they exit 2 with a JSON error."""
 
     def error(self, message: str):
-        raise ParseError(message)
+        raise ser.ParseError(message)
 
 
 def _positive(text: str) -> int:
@@ -283,6 +249,7 @@ def _range_flags(p: argparse.ArgumentParser, depth: int, branch: int) -> None:
     p.add_argument("--branch", type=_positive, default=branch, help="table branching")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="seqstar",
                  description="Exact tools for the compactified "
@@ -358,14 +325,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.run(args)
-    except ParseError as e:
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout: send what is left of the output nowhere,
+        # so that the flush at exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
+    except ser.ParseError as e:
         print(json.dumps({"error": {"kind": "parse", "message": str(e)}}), file=sys.stderr)
         return EXIT_PARSE
-    except (DomainMismatch, InvalidEmbedding) as e:
+    except (seq.DomainMismatch, emb.InvalidEmbedding) as e:
         print(json.dumps({"error": {"kind": "domain", "message": str(e)}}), file=sys.stderr)
         return EXIT_DOMAIN
-    except BudgetExceeded as e:
+    except seq.BudgetExceeded as e:
         doc = {"error": {"kind": "budget", "message": str(e), "stage": e.stage}}
         print(json.dumps(doc), file=sys.stderr)
         return EXIT_BUDGET

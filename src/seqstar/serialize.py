@@ -15,8 +15,7 @@ from .sequences import (
     Point,
     Seq,
 )
-from .topology import BasicClopen, Cone, ConeMinus, Singleton
-from .embeddings import MeetEmbedding
+from . import embeddings as emb, topology as top  # module references: parsing a point loads neither
 
 
 class ParseError(Exception):
@@ -55,28 +54,28 @@ def point_from_json(obj: Any) -> Point:
     raise ParseError(f"unknown point kind {kind!r}")
 
 
-def basic_to_json(B: BasicClopen) -> dict:
-    if isinstance(B, Singleton):
+def basic_to_json(B: top.BasicClopen) -> dict:
+    if isinstance(B, top.Singleton):
         return {"kind": "singleton", "t": list(B.t)}
-    if isinstance(B, Cone):
+    if isinstance(B, top.Cone):
         return {"kind": "cone", "t": list(B.t)}
     return {"kind": "cone_minus", "t": list(B.t), "i": B.i}
 
 
-def basic_from_json(obj: Any) -> BasicClopen:
+def basic_from_json(obj: Any) -> top.BasicClopen:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError("basic set must be an object with a 'kind' field")
     kind = obj["kind"]
     t = _seq(obj.get("t"), "t")
     if kind == "singleton":
-        return Singleton(t)
+        return top.Singleton(t)
     if kind == "cone":
-        return Cone(t)
+        return top.Cone(t)
     if kind == "cone_minus":
         i = obj.get("i")
         if not isinstance(i, int) or i < 0:
             raise ParseError("cone_minus needs a nonnegative integer 'i'")
-        return ConeMinus(t, i)
+        return top.ConeMinus(t, i)
     raise ParseError(f"unknown basic set kind {kind!r}")
 
 
@@ -103,7 +102,7 @@ def table_from_json(obj: Any) -> dict[Seq, Seq]:
     return {node_from_key(k): _seq(v, f"table[{k}]") for k, v in obj.items()}
 
 
-def embedding_to_json(pi: MeetEmbedding, depth: int | None = None, branch: int | None = None) -> dict:
+def embedding_to_json(pi: emb.MeetEmbedding, depth: int | None = None, branch: int | None = None) -> dict:
     """Emit a prefix embedding symbolically, anything else as a finite table."""
     if pi.stable == 0:
         return {"kind": "prefix", "s": list(pi.root)} if pi.root else {"kind": "identity"}
@@ -118,14 +117,14 @@ def embedding_to_json(pi: MeetEmbedding, depth: int | None = None, branch: int |
     return {"kind": "table", "root": list(pi.apply(())), "entries": entries}
 
 
-def embedding_from_json(obj: Any) -> MeetEmbedding:
+def embedding_from_json(obj: Any) -> emb.MeetEmbedding:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError("embedding must be an object with a 'kind' field")
     kind = obj["kind"]
     if kind == "prefix":
-        return MeetEmbedding.prefix(_seq(obj.get("s"), "s"))
+        return emb.MeetEmbedding.prefix(_seq(obj.get("s"), "s"))
     if kind == "identity":
-        return MeetEmbedding.identity()
+        return emb.MeetEmbedding.identity()
     if kind == "table":
         table: dict[Seq, Seq] = {(): _seq(obj.get("root", []), "root")}
         entries = obj.get("entries", [])
@@ -138,7 +137,7 @@ def embedding_from_json(obj: Any) -> MeetEmbedding:
             if not isinstance(i, int) or i < 0:
                 raise ParseError("table entry child index must be a nonnegative integer")
             table[_seq(t, "entry node") + (i,)] = _seq(img, "entry image")
-        return MeetEmbedding.from_table(table)
+        return emb.MeetEmbedding.from_table(table)
     raise ParseError(f"unknown embedding kind {kind!r}")
 
 

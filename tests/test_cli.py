@@ -1,14 +1,29 @@
+import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import seqstar
 from seqstar import constructions as con
-from seqstar.cli import main
+from seqstar.cli import EXIT_PIPE, main
 from seqstar.registry import space_function
 from seqstar.sequences import DepthBudget
+
+
+BENCH = str(Path(__file__).resolve().parent.parent / "bench")
+sys.path.insert(0, BENCH)
+try:
+    import cli_calls
+finally:
+    sys.path.remove(BENCH)
+
+ENV = dict(os.environ, PYTHONPATH=str(Path(seqstar.__file__).resolve().parent.parent))
 
 
 def run(capsys, *argv):
@@ -290,3 +305,45 @@ def test_a_step_budget_that_runs_out_mid_search_reports_its_stage(capsys):
     assert json.loads(err) == {"error": {"kind": "budget",
                                          "message": "step budget exhausted in discrete_refine",
                                          "stage": "discrete_refine"}}
+
+
+def fresh(argv, stdin=None):
+    """(exit code, stdout, stderr) of the command line in a new interpreter."""
+    proc = subprocess.run([sys.executable, "-m", "seqstar.cli", *argv], input=stdin, env=ENV,
+                          capture_output=True, text=True, encoding="utf-8")
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_process_answers_every_call_as_a_fresh_interpreter_does(capsys, monkeypatch):
+    """One argv of each of the 16 kinds the benchmark cycles through, each
+    after a parse or a domain error, all in this process."""
+    parse_error = ["embed", "frobnicate", "--pi", "{}"]
+    domain_error = ["catalog", "eval", "--fn", "3", "--point", '{"kind":"finite","seq":[1]}']
+    ops = cli_calls.warmup_ops(1)
+    assert [kind for _, kind, _, _ in ops] == cli_calls.KINDS and len(ops) == 16
+    answers, last = {}, ""
+    for i, (_, kind, _, (argv, _)) in enumerate(ops):
+        stdin = last if kind == "construct-recheck" else ""
+        for call in (domain_error if i % 2 else parse_error, argv):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+            got = (main(call), *capsys.readouterr())
+            key = (tuple(call), stdin)
+            if key not in answers:
+                answers[key] = fresh(call, stdin)
+            assert got == answers[key], call
+        last = got[1]
+    assert sorted({code for code, _, _ in answers.values()}) == [0, 2, 3]
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "eps-split", "--fn", "entry-sum", "--eps", "2^-3"],  # more than a pipe buffer
+    ["meet", "--s", "[0, 1]", "--t", "[0, 2]"],  # written only when stdout is flushed
+], ids=["large", "small"])
+def test_a_closed_stdout_exits_without_a_traceback(argv):
+    proc = subprocess.Popen([sys.executable, "-m", "seqstar.cli", *argv], env=ENV,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # long before the new interpreter writes
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_PIPE
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

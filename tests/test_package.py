@@ -1,0 +1,126 @@
+"""The package surface, and which submodules a command-line call runs.
+
+Importing seqstar registers its submodules without running them; these
+tests read a module's namespace with object.__getattribute__, which does
+not trigger the load, to tell which modules a call ran.
+"""
+import copy
+import hashlib
+import json
+import os
+import pickle
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import seqstar
+from seqstar.catalog import Const, SpaceTag
+from seqstar.metric import Dyadic, Exact
+from seqstar.sequences import AugmentedPoint, FinitePoint, PeriodicPoint
+from seqstar.topology import Cone, ConeMinus
+
+SRC = str(Path(seqstar.__file__).resolve().parent.parent)
+ENV = dict(os.environ, PYTHONPATH=SRC)
+
+EXPORTED = [
+    "Agrees", "AugmentedPoint", "BasicClopen", "Bounded", "BudgetExceeded", "Cone", "ConeMinus",
+    "ContainmentError", "Counterexample", "Covers", "DepthBudget", "Disagrees", "DomainMismatch",
+    "Dyadic", "EmbeddingFamily", "Empty", "EpsilonSchedule", "Exact", "FinitePoint",
+    "InfinitePoint", "InvalidEmbedding", "MeetEmbedding", "PartialEmbedding", "PeriodicPoint",
+    "Point", "Prefix", "RecheckReport", "Singleton", "SpaceFunction", "TreeSetOracle", "Valid",
+    "Violation", "amalgamate", "ball_member", "basic_member", "canonical_enumeration",
+    "canonical_index", "classify_baire_function", "compose_function", "constructions",
+    "cover_decide", "covers_cone", "distance", "embeddings", "extend", "is_prefix", "meet",
+    "meet_preservation_oracle", "metric", "neighborhood_of", "nodes_in_range", "preimage_cone",
+    "recheck", "representatives", "restrict", "sequences", "serialize", "split_index",
+    "topology", "trace", "uncovered_descent", "validate", "weight", "weight_schedule",
+]
+
+
+# The submodules whose code has run, read without loading any of them.
+RAN = ("sorted(n[len('seqstar.'):] for n, m in sys.modules.items() if n.startswith('seqstar.')"
+       " and any(k[:1] != '_' for k in object.__getattribute__(m, '__dict__')))")
+
+
+def test_all_keeps_its_64_names():
+    assert sorted(seqstar.__all__) == EXPORTED
+
+
+@pytest.mark.parametrize("name", EXPORTED)
+def test_each_name_is_the_object_its_module_defines(name):
+    value = getattr(seqstar, name)
+    if isinstance(value, types.ModuleType):
+        assert value is sys.modules[f"seqstar.{name}"]
+    elif isinstance(value, type) or callable(value):
+        assert value.__module__.startswith("seqstar.")
+        assert getattr(sys.modules[value.__module__], name) is value
+    else:  # a union of point or set types
+        assert any(getattr(sys.modules[f"seqstar.{m}"], name, None) is value
+                   for m in ("sequences", "topology"))
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        seqstar.nope  # noqa: B018
+
+
+def test_star_import_binds_every_exported_name():
+    ns: dict = {}
+    exec("from seqstar import *", ns)
+    assert sorted(set(ns) - {"__builtins__"}) == EXPORTED
+    assert all(ns[name] is getattr(seqstar, name) for name in EXPORTED)
+
+
+VALUES = [FinitePoint((0, 2)), AugmentedPoint((1,)), PeriodicPoint((3,), (0, 1)),
+          Dyadic(3, 2), Exact(Dyadic(1)), Cone((0,)), ConeMinus((1,), 2), Const(SpaceTag.Baire)]
+
+
+def test_values_unpickle_and_deepcopy_in_an_interpreter_that_loaded_no_module():
+    script = ("import copy, pickle, sys, seqstar\n"
+              f"assert {RAN} == []\n"
+              "values = pickle.loads(sys.stdin.buffer.read())\n"
+              "sys.stdout.buffer.write(pickle.dumps([copy.deepcopy(v) for v in values]))\n")
+    out = subprocess.run([sys.executable, "-c", script], input=pickle.dumps(VALUES), env=ENV,
+                         capture_output=True, check=True).stdout
+    back = pickle.loads(out)
+    assert back == VALUES == copy.deepcopy(VALUES)
+
+
+# --- modules a subcommand runs ---------------------------------------------
+
+RUN_AND_REPORT = f"""\
+import json, sys
+import seqstar.cli as cli
+code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps({{"code": code, "ran": {RAN}}}), file=sys.stderr)
+"""
+
+DIST = ["dist", "--a", '{"kind":"finite","seq":[0,1]}', "--b", '{"kind":"augmented","seq":[0]}']
+
+
+@pytest.mark.parametrize("argv, needs, not_run", [
+    (DIST, {"metric", "sequences", "serialize"},
+     {"constructions", "trace", "registry", "catalog", "topology", "embeddings"}),
+    (["catalog", "list"], {"catalog"}, {"constructions", "trace", "registry", "embeddings"}),
+    (["construct", "classify", "--fn", "depth-collapse"],
+     {"constructions", "registry"}, {"trace", "catalog"}),
+], ids=["dist", "catalog-list", "construct"])
+def test_a_subcommand_runs_only_the_modules_it_uses(argv, needs, not_run):
+    proc = subprocess.run([sys.executable, "-c", RUN_AND_REPORT, json.dumps(argv)], env=ENV,
+                          capture_output=True, text=True, check=True)
+    report = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert report["code"] == 0
+    assert needs <= set(report["ran"])
+    assert not not_run & set(report["ran"])
+
+
+def test_construct_classify_prints_the_same_bytes_as_before():
+    out = subprocess.run([sys.executable, "-m", "seqstar.cli", "construct", "classify",
+                          "--fn", "compactify-identity"], env=ENV, capture_output=True,
+                         check=True).stdout
+    assert len(out) == 6316
+    assert hashlib.sha256(out).hexdigest() == \
+        "694e73f7b1dcfccf1533e929f502a0e35c513065d18ba871c0c87b925c88a223"
