@@ -13,7 +13,7 @@ failing with BudgetExceeded when the allowance runs out.
 from __future__ import annotations
 
 import functools
-from itertools import islice
+from itertools import combinations, islice
 from typing import Any, Callable, Iterable, Sequence
 
 from .metric import Dyadic, EpsilonSchedule, weight_schedule
@@ -46,9 +46,7 @@ class TreeSetOracle(Record):
 
     def __init__(self, name: str, member: Callable[[Seq], bool],
                  dense_extension: Callable[[Seq], Seq] | None = None):
-        self.name = name
-        self.member = member
-        self.dense_extension = dense_extension
+        super().__init__(name, member, dense_extension)
 
 
 class TreeFamily(Frozen):
@@ -79,11 +77,8 @@ class SpaceFunction(Record):
         cone_diameter: Callable[[Seq], Dyadic] | None = None,
         spec: dict | None = None,
     ):
-        self.name = name
-        self.evaluate = evaluate
-        self.value_distance = value_distance
-        self.cone_diameter = cone_diameter
-        self.spec = {"name": name} if spec is None else spec
+        super().__init__(name, evaluate, value_distance, cone_diameter,
+                         {"name": name} if spec is None else spec)
 
 
 def compose_function(phi: SpaceFunction, table: dict[Seq, Seq]) -> SpaceFunction:
@@ -166,6 +161,10 @@ class EmbedsIntoBaireStar(Frozen):
     __slots__ = ()
 
 
+# the shape classify_baire_function reports when every child verdict is of one kind
+_SHAPE_OF_VERDICT = {Convergent: EmbedsIntoBaireStar, Discrete: EmbedsIntoBaire}
+
+
 class PartialEmbedding(Record):
     """A finite realization of a constructed embedding: the full table on
     its (depth, branch) range plus the trace that certifies it."""
@@ -173,10 +172,7 @@ class PartialEmbedding(Record):
     __slots__ = ("table", "depth", "branch", "trace")
 
     def __init__(self, table: dict[Seq, Seq], depth: int, branch: int, trace: dict):
-        self.table = table
-        self.depth = depth
-        self.branch = branch
-        self.trace = trace
+        super().__init__(table, depth, branch, trace)
         v = validate(table, depth, branch)
         if not isinstance(v, Valid):
             raise AssertionError(f"constructed table fails validation: {v}")
@@ -241,16 +237,19 @@ def _find(pred: Callable[..., bool], start: Seq, pool: Sequence[Seq], steps: _St
 
 
 def _build_table(
-    root_image: Seq,
-    child_image: Callable[[Seq, int, Seq], Seq],
+    children: Callable[[Seq, Seq], list[Seq]],
     out_depth: int,
     out_branch: int,
 ) -> dict[Seq, Seq]:
-    table: dict[Seq, Seq] = {(): root_image}
-    for t in nodes_in_range(out_depth, out_branch):
-        if t:
-            table[t] = child_image(t[:-1], t[-1], table[t[:-1]])
-    return table
+    """The table rooted at () in which children(t, image of t) lists the
+    images of t's children, asked once per parent in canonical order."""
+    nodes = nodes_in_range(out_depth, out_branch)
+    table: dict[Seq, Seq] = {(): ()}
+    for t in nodes:
+        if len(t) < out_depth:
+            for i, image in enumerate(children(t, table[t])):
+                table[t + (i,)] = image
+    return {t: table[t] for t in nodes}
 
 
 def _refine(
@@ -261,6 +260,7 @@ def _refine(
     out_depth: int,
     out_branch: int,
     hint: Callable[[Seq, Seq], Seq | None] | None = None,
+    failure: str | None = None,
 ) -> dict[Seq, Seq]:
     """The table of the first root that admits one, node by node in
     canonical order.
@@ -269,6 +269,8 @@ def _refine(
     followed by a pool word for the empty node, otherwise the parent's
     image, u's last coordinate and a pool word.  hint(start, u), when
     given, proposes an extension of that start to try before the pool.
+    When no root admits a table, this raises BudgetExceeded(failure) at the
+    steps' stage, or _SearchFailed if no failure message is given.
     """
     for root in roots:
         table: dict[Seq, Seq] = {}
@@ -284,7 +286,9 @@ def _refine(
         except _SearchFailed:
             continue
         return table
-    raise _SearchFailed
+    if failure is None:
+        raise _SearchFailed
+    raise BudgetExceeded(failure, stage=steps.stage)
 
 
 _TAIL = 16  # child whose augmented value stands in for the limit of a node's values
@@ -305,6 +309,20 @@ def _converging_table(phi: SpaceFunction, schedule: EpsilonSchedule, pool: Seque
     return _refine(lambda c, u: close(c, limit, u), [root], pool, steps, out_depth, out_branch), tail
 
 
+def _separation(phi: SpaceFunction, xs: Iterable[Value], ys: Sequence[Value]) -> Dyadic | None:
+    """The least distance between a value in xs and one in ys, or None if
+    there is no pair or some pair is at distance zero."""
+    least = None
+    for x in xs:
+        for y in ys:
+            d = phi.value_distance(x, y)
+            if d.is_zero():
+                return None
+            if least is None or d < least:
+                least = d
+    return least
+
+
 def _cmp(kind: str, a: Point, b: Point, bound: Dyadic) -> dict:
     """A certificate comparing the distance between the values at a and b
     with bound."""
@@ -323,11 +341,13 @@ def _prefix_table(s: Seq, out_depth: int, out_branch: int) -> dict[Seq, Seq]:
     return {t: s + t for t in nodes_in_range(out_depth, out_branch)}
 
 
-def _std_trace(op: str, params: dict, table: dict[Seq, Seq], certs: list[dict], **extra) -> dict:
-    doc = {"op": op, "params": params, "table": table_to_json(table),
-           "certificates": [{"kind": "valid_table"}] + certs}
-    doc.update(extra)
-    return doc
+def _made(op: str, params: dict, table: dict[Seq, Seq], certs: list[dict],
+          depth: int, branch: int, **extra) -> PartialEmbedding:
+    """The table on its (depth, branch) range with the trace of op: params,
+    the table, a valid_table certificate before certs, then extra fields."""
+    trace = {"op": op, "params": params, "table": table_to_json(table),
+             "certificates": [{"kind": "valid_table"}] + certs, **extra}
+    return PartialEmbedding(table, depth, branch, trace)
 
 
 # --- operations -----------------------------------------------------------
@@ -351,10 +371,8 @@ def ramsey_split(
     def attempt(inside: bool) -> dict[Seq, Seq]:
         steps = _Steps(budget.steps, "ramsey_split")
         member = T.member if inside else (lambda t: not T.member(t))
-        try:
-            return _refine(lambda c, u: member(c), roots, pool, steps, out_depth, out_branch)
-        except _SearchFailed:
-            raise BudgetExceeded("no root admits a full table on this side", stage="ramsey_split")
+        return _refine(lambda c, u: member(c), roots, pool, steps, out_depth, out_branch,
+                       failure="no root admits a full table on this side")
 
     try:
         table, side, inside = attempt(True), InT(), True
@@ -363,10 +381,9 @@ def ramsey_split(
 
     certs = [{"kind": "in_set", "oracle": T.name, "node": list(img), "member": inside}
              for img in table.values()]
-    trace = _std_trace("ramsey_split", {"depth": out_depth, "branch": out_branch},
-                       table, certs, oracle=T.name,
+    return side, _made("ramsey_split", {"depth": out_depth, "branch": out_branch},
+                       table, certs, out_depth, out_branch, oracle=T.name,
                        side="InT" if inside else "InComplement")
-    return side, PartialEmbedding(table, out_depth, out_branch, trace)
 
 
 def category_refine(
@@ -385,16 +402,13 @@ def category_refine(
         dense = levels[len(u)].dense_extension
         return None if dense is None else tuple(dense(start))
 
-    try:
-        table = _refine(lambda c, u: levels[len(u)].member(c), [tuple(s)], _word_pool(out_branch),
-                        _Steps(budget.steps, op_name), out_depth, out_branch, hint)
-    except _SearchFailed:
-        raise BudgetExceeded("level constraint not reachable by search", stage=op_name)
+    table = _refine(lambda c, u: levels[len(u)].member(c), [tuple(s)], _word_pool(out_branch),
+                    _Steps(budget.steps, op_name), out_depth, out_branch, hint,
+                    failure="level constraint not reachable by search")
     certs = [{"kind": "in_set", "family_level": len(t), "node": list(img), "member": True}
              for t, img in table.items()]
-    trace = _std_trace(op_name, {"depth": out_depth, "branch": out_branch, "root": list(s)},
-                       table, certs, family=family.name)
-    return PartialEmbedding(table, out_depth, out_branch, trace)
+    return _made(op_name, {"depth": out_depth, "branch": out_branch, "root": list(s)},
+                 table, certs, out_depth, out_branch, family=family.name)
 
 
 def continuity_refine(
@@ -425,17 +439,14 @@ def diameter_shrink(
     budget = budget or DEFAULT_BUDGET
     if phi.cone_diameter is None:
         raise DomainMismatch("diameter_shrink needs a cone_diameter oracle")
-    try:
-        table = _refine(lambda c, u: phi.cone_diameter(c) < schedule(u), [()], _word_pool(out_branch),
-                        _Steps(budget.steps, "diameter_shrink"), out_depth, out_branch)
-    except _SearchFailed:
-        raise BudgetExceeded("no image with small enough cone diameter", stage="diameter_shrink")
+    table = _refine(lambda c, u: phi.cone_diameter(c) < schedule(u), [()], _word_pool(out_branch),
+                    _Steps(budget.steps, "diameter_shrink"), out_depth, out_branch,
+                    failure="no image with small enough cone diameter")
     certs = [{"kind": "diam_lt", "node": list(img), "eps": str(schedule(t))}
              for t, img in table.items()]
-    trace = _std_trace("diameter_shrink",
-                       {"depth": out_depth, "branch": out_branch, "schedule": schedule.name},
-                       table, certs, function=phi.spec)
-    return PartialEmbedding(table, out_depth, out_branch, trace)
+    return _made("diameter_shrink",
+                 {"depth": out_depth, "branch": out_branch, "schedule": schedule.name},
+                 table, certs, out_depth, out_branch, function=phi.spec)
 
 
 def children_stabilize(
@@ -486,30 +497,20 @@ def children_stabilize(
                     break
             if len(picks) == out_branch:
                 verdicts[node] = Discrete(eps)
-                for a in range(out_branch):
-                    for b in range(a + 1, out_branch):
-                        certs.append(_cmp("value_dist_ge", AugmentedPoint(r + (picks[a],)),
-                                          AugmentedPoint(r + (picks[b],)), eps))
+                for a, b in combinations(picks, 2):
+                    certs.append(_cmp("value_dist_ge", AugmentedPoint(r + (a,)),
+                                      AugmentedPoint(r + (b,)), eps))
                 return picks
         raise BudgetExceeded(f"neither verdict certified at {node}",
                              stage="children_stabilize")
 
-    selectors: dict[Seq, list[int]] = {}
-
-    def child_image(t: Seq, i: int, pimg: Seq) -> Seq:
-        if t not in selectors:
-            selectors[t] = stabilize(t, pimg)
-        return pimg + (selectors[t][i],)
-
-    table = _build_table((), child_image, out_depth, out_branch)
-    trace = _std_trace("children_stabilize",
-                       {"depth": out_depth, "branch": out_branch,
-                        "selector_budget": selector_budget},
-                       table, certs, function=phi.spec,
-                       verdicts={node_key(t): ("Convergent" if isinstance(v, Convergent)
-                                               else f"Discrete:{v.eps}")
-                                 for t, v in sorted(verdicts.items())})
-    return PartialEmbedding(table, out_depth, out_branch, trace), verdicts
+    table = _build_table(lambda t, r: [r + (k,) for k in stabilize(t, r)], out_depth, out_branch)
+    return _made("children_stabilize",
+                 {"depth": out_depth, "branch": out_branch, "selector_budget": selector_budget},
+                 table, certs, out_depth, out_branch, function=phi.spec,
+                 verdicts={node_key(t): ("Convergent" if isinstance(v, Convergent)
+                                         else f"Discrete:{v.eps}")
+                           for t, v in sorted(verdicts.items())}), verdicts
 
 
 def disjointify(
@@ -524,52 +525,43 @@ def disjointify(
     if phi.cone_diameter is None:
         raise DomainMismatch("disjointify needs a cone_diameter oracle")
     certs: list[dict] = []
+    pairs = list(combinations(range(out_branch), 2))
 
     def children(t: Seq, r: Seq) -> list[Seq]:
         samples = [PeriodicPoint(r + (i,), (0,)) for i in range(out_branch)]
         values = [phi.evaluate(p) for p in samples]
-        for a in range(out_branch):
-            for b in range(a + 1, out_branch):
-                if phi.value_distance(values[a], values[b]).is_zero():
-                    raise BudgetExceeded(
-                        f"samples below {r} do not separate (constant region?)",
-                        stage="disjointify")
+        for a, b in pairs:
+            if phi.value_distance(values[a], values[b]).is_zero():
+                raise BudgetExceeded(
+                    f"samples below {r} do not separate (constant region?)",
+                    stage="disjointify")
         for m in range(24):
+            depth = len(r) + 1 + m
             imgs = []
-            for i, p in enumerate(samples):
-                depth_i = len(r) + 1 + m
-                pre = p.restrict(depth_i, budget)
-                if pre.marked or len(pre.seq) < depth_i:
+            for p in samples:
+                pre = p.restrict(depth, budget)
+                if pre.marked or len(pre.seq) < depth:
                     raise BudgetExceeded("sample too short to deepen its cone",
                                          stage="disjointify")
                 imgs.append(pre.seq)
             ok = all(
                 phi.value_distance(values[a], values[b])
                 > phi.cone_diameter(imgs[a]) + phi.cone_diameter(imgs[b])
-                for a in range(out_branch) for b in range(a + 1, out_branch)
+                for a, b in pairs
             )
             if ok:
-                for a in range(out_branch):
-                    for b in range(a + 1, out_branch):
-                        certs.append({"kind": "dist_gt_sum",
-                                      "a": point_to_json(samples[a]),
-                                      "b": point_to_json(samples[b]),
-                                      "na": list(imgs[a]), "nb": list(imgs[b])})
+                for a, b in pairs:
+                    certs.append({"kind": "dist_gt_sum",
+                                  "a": point_to_json(samples[a]),
+                                  "b": point_to_json(samples[b]),
+                                  "na": list(imgs[a]), "nb": list(imgs[b])})
                 return imgs
         raise BudgetExceeded(f"separation never dominates diameters below {r}",
                              stage="disjointify")
 
-    chosen: dict[Seq, list[Seq]] = {}
-
-    def child_image(t: Seq, i: int, pimg: Seq) -> Seq:
-        if t not in chosen:
-            chosen[t] = children(t, pimg)
-        return chosen[t][i]
-
-    table = _build_table((), child_image, out_depth, out_branch)
-    trace = _std_trace("disjointify", {"depth": out_depth, "branch": out_branch},
-                       table, certs, function=phi.spec)
-    return PartialEmbedding(table, out_depth, out_branch, trace)
+    table = _build_table(children, out_depth, out_branch)
+    return _made("disjointify", {"depth": out_depth, "branch": out_branch},
+                 table, certs, out_depth, out_branch, function=phi.spec)
 
 
 def limit_refine(
@@ -585,6 +577,7 @@ def limit_refine(
     budget = budget or DEFAULT_BUDGET
     steps = _Steps(budget.steps, "limit_refine")
     pool = _word_pool(out_branch)
+    params = {"depth": out_depth, "branch": out_branch, "schedule": schedule.name}
 
     def near(img: Seq, node: Seq) -> bool:
         b = PeriodicPoint(img, (0,))
@@ -595,11 +588,8 @@ def limit_refine(
         table = _refine(near, [()], pool, steps, out_depth, out_branch)
         certs = [_cmp("value_dist_lt", PeriodicPoint(img, (0,)), AugmentedPoint(img), schedule(t))
                  for t, img in table.items()]
-        trace = _std_trace("limit_refine",
-                           {"depth": out_depth, "branch": out_branch,
-                            "schedule": schedule.name},
-                           table, certs, function=phi.spec, mode="ContinuousAtBaire")
-        return ContinuousAtBaire(), PartialEmbedding(table, out_depth, out_branch, trace)
+        return ContinuousAtBaire(), _made("limit_refine", params, table, certs, out_depth,
+                                          out_branch, function=phi.spec, mode="ContinuousAtBaire")
     except (_SearchFailed, BudgetExceeded):
         pass
 
@@ -608,24 +598,16 @@ def limit_refine(
         steps.tick()
         baire = [PeriodicPoint(s + w, (0,)) for w in aug_words[:6]]
         augs = [AugmentedPoint(s + w) for w in aug_words]
-        delta = None
-        for b in baire:
-            vb = phi.evaluate(b)
-            for a in augs:
-                d = phi.value_distance(vb, phi.evaluate(a))
-                delta = d if delta is None or d < delta else delta
-        if delta is not None and not delta.is_zero():
+        delta = _separation(phi, (phi.evaluate(b) for b in baire), [phi.evaluate(a) for a in augs])
+        if delta is not None:
             table = _prefix_table(s, out_depth, out_branch)
             baire_json = [point_to_json(b) for b in baire]
             augs_json = [point_to_json(a) for a in augs]
             bound = str(delta)
             certs = [_cert("value_dist_ge", b, a, bound) for b in baire_json for a in augs_json]
-            trace = _std_trace("limit_refine",
-                               {"depth": out_depth, "branch": out_branch,
-                                "schedule": schedule.name},
-                               table, certs, function=phi.spec,
-                               mode="SeparatedClosure", s=list(s), delta=str(delta))
-            return SeparatedClosure(s, delta), PartialEmbedding(table, out_depth, out_branch, trace)
+            return SeparatedClosure(s, delta), _made(
+                "limit_refine", params, table, certs, out_depth, out_branch,
+                function=phi.spec, mode="SeparatedClosure", s=list(s), delta=str(delta))
     raise BudgetExceeded("neither continuity nor separation certified", stage="limit_refine")
 
 
@@ -651,34 +633,28 @@ def epsilon_discrete_or_ball(
     t = tuple(t)
     steps = _Steps(budget.steps, "epsilon_discrete_or_ball")
     pool = _word_pool(out_branch)
-    ordered = nodes_in_range(out_depth, out_branch)
+    params = {"depth": out_depth, "branch": out_branch, "eps": str(eps), "root": list(t)}
 
     try:
         table: dict[Seq, Seq] = {}
         chosen_values: list[Value] = []
-        value = None  # the value at the candidate fresh() accepted last
 
         def fresh(c: Seq) -> bool:
-            nonlocal value
             v = phi.evaluate(AugmentedPoint(c))
             for old in chosen_values:
                 if not phi.value_distance(v, old) >= eps:
                     return False
-            value = v
+            chosen_values.append(v)  # _find takes the first candidate accepted
             return True
 
-        for n, u in enumerate(ordered):
+        for n, u in enumerate(nodes_in_range(out_depth, out_branch)):
             table[u] = _find(fresh, table[u[:-1]] + (n,) if u else t, pool, steps)
-            chosen_values.append(value)
         imgs = [point_to_json(AugmentedPoint(img)) for img in table.values()]
         bound = str(eps)
-        certs = [_cert("value_dist_ge", imgs[a], imgs[b], bound)
-                 for a in range(len(imgs)) for b in range(a + 1, len(imgs))]
-        trace = _std_trace("epsilon_discrete_or_ball",
-                           {"depth": out_depth, "branch": out_branch,
-                            "eps": str(eps), "root": list(t)},
-                           table, certs, function=phi.spec, mode="DiscreteInjection")
-        return DiscreteInjection(eps), PartialEmbedding(table, out_depth, out_branch, trace)
+        certs = [_cert("value_dist_ge", a, b, bound) for a, b in combinations(imgs, 2)]
+        return DiscreteInjection(eps), _made("epsilon_discrete_or_ball", params, table, certs,
+                                             out_depth, out_branch, function=phi.spec,
+                                             mode="DiscreteInjection")
     except (_SearchFailed, BudgetExceeded):
         pass
 
@@ -694,12 +670,9 @@ def epsilon_discrete_or_ball(
             continue
         certs = [_cmp("value_dist_lt", AugmentedPoint(img), center_point, eps)
                  for img in table.values()]
-        trace = _std_trace("epsilon_discrete_or_ball",
-                           {"depth": out_depth, "branch": out_branch,
-                            "eps": str(eps), "root": list(t)},
-                           table, certs, function=phi.spec,
-                           mode="InsideBall", center=value_to_json(center))
-        return InsideBall(center), PartialEmbedding(table, out_depth, out_branch, trace)
+        return InsideBall(center), _made("epsilon_discrete_or_ball", params, table, certs,
+                                         out_depth, out_branch, function=phi.spec,
+                                         mode="InsideBall", center=value_to_json(center))
     raise BudgetExceeded("neither discrete injection nor ball certified",
                          stage="epsilon_discrete_or_ball")
 
@@ -719,7 +692,6 @@ def shrink_or_discrete(
         mode, pe = epsilon_discrete_or_ball(phi, Dyadic.one(), (), out_depth, out_branch, budget)
         if isinstance(mode, DiscreteInjection):
             pe.trace["op"] = "shrink_or_discrete"
-            pe.trace["mode"] = "DiscreteInjection"
             return mode, pe
     except BudgetExceeded:
         pass
@@ -737,19 +709,17 @@ def shrink_or_discrete(
         cone = [u for u in table if is_prefix(t, u)]
         members = [table[u] for u in cone]
         eps_t = schedule(t)
-        for a in range(len(cone)):
-            for b in range(a + 1, len(cone)):
-                d = phi.value_distance(values[cone[a]], values[cone[b]])
-                if not d < eps_t:
-                    raise BudgetExceeded(f"cone value diameter not below {eps_t} at {t}",
-                                         stage="shrink_or_discrete")
+        for a, b in combinations(cone, 2):
+            d = phi.value_distance(values[a], values[b])
+            if not d < eps_t:
+                raise BudgetExceeded(f"cone value diameter not below {eps_t} at {t}",
+                                     stage="shrink_or_discrete")
         certs.append({"kind": "cone_value_diam_lt",
                       "members": [list(m) for m in members], "eps": str(eps_t)})
     certs.append({"kind": "meet_table"})
-    trace = _std_trace("shrink_or_discrete",
-                       {"depth": out_depth, "branch": out_branch, "schedule": schedule.name},
-                       table, certs, function=phi.spec, mode="DiameterToZero")
-    return DiameterToZero(), PartialEmbedding(table, out_depth, out_branch, trace)
+    return DiameterToZero(), _made(
+        "shrink_or_discrete", {"depth": out_depth, "branch": out_branch, "schedule": schedule.name},
+        table, certs, out_depth, out_branch, function=phi.spec, mode="DiameterToZero")
 
 
 def point_avoid(
@@ -770,9 +740,8 @@ def point_avoid(
                       "x": value_to_json(x), "bound": str(d)}
                      for u, d in zip(words, dists)]
             table = _prefix_table(s, 2, 3)
-            trace = _std_trace("point_avoid", {"x": value_to_json(x)}, table, certs,
-                               function=phi.spec, s=list(s))
-            return s, PartialEmbedding(table, 2, 3, trace)
+            return s, _made("point_avoid", {"x": value_to_json(x)}, table, certs, 2, 3,
+                            function=phi.spec, s=list(s))
     raise BudgetExceeded("no avoiding node certified within budget", stage="point_avoid")
 
 
@@ -790,6 +759,7 @@ def finite_avoid_or_converge(
     schedule = weight_schedule()
     t = tuple(t)
     pool = _word_pool(out_branch)
+    params = {"depth": out_depth, "branch": out_branch, "root": list(t)}
 
     for x in F:
         steps = _Steps(budget.steps, "finite_avoid_or_converge")
@@ -803,34 +773,25 @@ def finite_avoid_or_converge(
                   "a": point_to_json(AugmentedPoint(img)),
                   "x": value_to_json(x), "bound": str(schedule(u))}
                  for u, img in table.items()]
-        trace = _std_trace("finite_avoid_or_converge",
-                           {"depth": out_depth, "branch": out_branch, "root": list(t)},
-                           table, certs, function=phi.spec,
-                           mode="ConvergesToMember", x=value_to_json(x))
-        return ConvergesToMember(x), PartialEmbedding(table, out_depth, out_branch, trace)
+        return ConvergesToMember(x), _made("finite_avoid_or_converge", params, table, certs,
+                                           out_depth, out_branch, function=phi.spec,
+                                           mode="ConvergesToMember", x=value_to_json(x))
 
     steps = _Steps(budget.steps, "finite_avoid_or_converge")
     words = [w for w in pool if len(w) <= 2][:12]
     for u0 in pool[:24]:
         steps.tick()
         u = t + u0
-        delta = None
-        for w in words:
-            v = phi.evaluate(AugmentedPoint(u + w))
-            for x in F:
-                d = phi.value_distance(v, x)
-                delta = d if delta is None or d < delta else delta
-        if delta is not None and not delta.is_zero():
+        delta = _separation(phi, (phi.evaluate(AugmentedPoint(u + w)) for w in words), F)
+        if delta is not None:
             table = _prefix_table(u, out_depth, out_branch)
             certs = [{"kind": "avoid_value",
                       "a": point_to_json(AugmentedPoint(u + w)),
                       "x": value_to_json(x), "bound": str(delta)}
                      for w in words for x in F]
-            trace = _std_trace("finite_avoid_or_converge",
-                               {"depth": out_depth, "branch": out_branch, "root": list(t)},
-                               table, certs, function=phi.spec,
-                               mode="ClosureAvoidsF", eps=str(delta), u=list(u))
-            return ClosureAvoidsF(delta, u), PartialEmbedding(table, out_depth, out_branch, trace)
+            return ClosureAvoidsF(delta, u), _made(
+                "finite_avoid_or_converge", params, table, certs, out_depth, out_branch,
+                function=phi.spec, mode="ClosureAvoidsF", eps=str(delta), u=list(u))
     raise BudgetExceeded("neither convergence nor avoidance certified",
                          stage="finite_avoid_or_converge")
 
@@ -848,63 +809,59 @@ def discrete_refine(
     budget = budget or DEFAULT_BUDGET
     pool = _word_pool(out_branch)
     steps = _Steps(budget.steps, "discrete_refine")
+    params = {"depth": out_depth, "branch": out_branch, "schedule": schedule.name}
 
     try:
         table, tail_point = _converging_table(phi, schedule, pool, steps, out_depth, out_branch)
         certs = [_cmp("value_dist_lt", AugmentedPoint(img), tail_point, schedule(u).half())
                  for u, img in table.items()]
         certs.append({"kind": "meet_table"})
-        trace = _std_trace("discrete_refine",
-                           {"depth": out_depth, "branch": out_branch, "schedule": schedule.name},
-                           table, certs, function=phi.spec, mode="GlobalConvergence")
-        return GlobalConvergence(), PartialEmbedding(table, out_depth, out_branch, trace)
+        return GlobalConvergence(), _made("discrete_refine", params, table, certs, out_depth,
+                                          out_branch, function=phi.spec, mode="GlobalConvergence")
     except (_SearchFailed, BudgetExceeded):
         pass
 
     steps = _Steps(budget.steps, "discrete_refine")
     below_words = [w for w in pool if len(w) <= 1][:4]  # (), (0,), (1,), (2,)
-    ordered = nodes_in_range(out_depth, out_branch)
     table = {}
-    limits: dict[Seq, Value] = {}
-    limit_points: dict[Seq, dict] = {}  # the JSON of AugmentedPoint(table[m])
+    limits: list[Value] = []  # the value at each image so far
+    limit_points: list[dict] = []  # the JSON of AugmentedPoint(image), likewise
     certs = []
 
-    bound = value = None  # the least distance and the value avoiding() found last
+    bound = None  # the least distance avoiding() found for the candidate it accepted
 
     def avoiding(c: Seq) -> bool:
         """Whether every value below c keeps a positive distance from the limits."""
-        nonlocal bound, value
+        nonlocal bound
         worst = v0 = None
         for w in below_words:
             v = phi.evaluate(AugmentedPoint(c + w))
             if not w:
                 v0 = v
-            for x in limits.values():
+            for x in limits:
                 d = phi.value_distance(x, v)
                 if d.is_zero():
                     return False
                 worst = d if worst is None or d < worst else worst
-        bound, value = worst if worst is not None else Dyadic.one(), v0
+        bound = worst if worst is not None else Dyadic.one()
+        limits.append(v0)  # _find takes the first candidate accepted
         return True
 
     try:
-        for u in ordered:
+        for u in nodes_in_range(out_depth, out_branch):
             img = _find(avoiding, table[u[:-1]] + u[-1:] if u else (), pool, steps)
             bound_json = str(bound)
             for w in below_words:
                 below = point_to_json(AugmentedPoint(img + w))
-                for m in limits:
-                    certs.append(_cert("avoid_pair", limit_points[m], below, bound_json))
+                for m in limit_points:
+                    certs.append(_cert("avoid_pair", m, below, bound_json))
             table[u] = img
-            limits[u] = value
-            limit_points[u] = point_to_json(AugmentedPoint(img))
+            limit_points.append(point_to_json(AugmentedPoint(img)))
     except _SearchFailed:
         raise BudgetExceeded("pairwise avoidance not certified", stage="discrete_refine")
     certs.append({"kind": "meet_table"})
-    trace = _std_trace("discrete_refine",
-                       {"depth": out_depth, "branch": out_branch, "schedule": schedule.name},
-                       table, certs, function=phi.spec, mode="PairwiseAvoidance")
-    return PairwiseAvoidance(), PartialEmbedding(table, out_depth, out_branch, trace)
+    return PairwiseAvoidance(), _made("discrete_refine", params, table, certs, out_depth,
+                                      out_branch, function=phi.spec, mode="PairwiseAvoidance")
 
 
 def disjoint_refine(
@@ -943,10 +900,8 @@ def disjoint_refine(
              _cmp("value_dist_le", PeriodicPoint(s, (0,)), witness, third)]
     certs += [_cmp("value_dist_ge", witness, AugmentedPoint(u), delta) for u in aug_words]
     table = _prefix_table(s, 2, 3)
-    trace = _std_trace("disjoint_refine",
-                       {"delta": str(delta)}, table, certs,
-                       function=phi.spec, witness=point_to_json(witness), s=list(s))
-    return PartialEmbedding(table, 2, 3, trace)
+    return _made("disjoint_refine", {"delta": str(delta)}, table, certs, 2, 3,
+                 function=phi.spec, witness=point_to_json(witness), s=list(s))
 
 
 def classify_baire_function(
@@ -959,39 +914,30 @@ def classify_baire_function(
     child stabilization (uniform verdict required), and disjointification,
     with the composite table and all stage traces as evidence."""
     budget = budget or DEFAULT_BUDGET
+    params = {"depth": out_depth, "branch": out_branch}
     probes = [PeriodicPoint(t, (0,)) for t in nodes_in_range(2, 3)[:9]]
     values = [phi.evaluate(p) for p in probes]
     if all(phi.value_distance(values[0], v).is_zero() for v in values[1:]):
         certs = [_cmp("value_dist_le", probes[0], p, Dyadic.zero()) for p in probes[1:]]
         table = _prefix_table((), out_depth, out_branch)
-        trace = _std_trace("classify_baire_function",
-                           {"depth": out_depth, "branch": out_branch},
-                           table, certs, function=phi.spec, shape="Constant", stages=[])
-        return Constant(), PartialEmbedding(table, out_depth, out_branch, trace), [trace]
+        pe = _made("classify_baire_function", params, table, certs, out_depth, out_branch,
+                   function=phi.spec, shape="Constant", stages=[])
+        return Constant(), pe, [pe.trace]
 
     st1 = diameter_shrink(phi, None, out_depth, out_branch, budget)
     phi1 = compose_function(phi, st1.table)
     st2, verdicts = children_stabilize(phi1, 48, out_depth, out_branch, budget)
     kinds = {type(v) for v in verdicts.values()}
-    if kinds == {Convergent}:
-        shape = EmbedsIntoBaireStar()
-    elif kinds == {Discrete}:
-        shape = EmbedsIntoBaire()
-    else:
+    if len(kinds) != 1:
         raise BudgetExceeded("mixed child verdicts; no uniform shape certified",
                              stage="classify_baire_function")
+    shape = _SHAPE_OF_VERDICT[kinds.pop()]()
     phi2 = compose_function(phi1, st2.table)
     st3 = disjointify(phi2, out_depth, out_branch, budget)
 
-    pi1 = MeetEmbedding.from_table(st1.table)
-    pi2 = MeetEmbedding.from_table(st2.table)
-    pi3 = MeetEmbedding.from_table(st3.table)
-    table = {t: pi1.apply(pi2.apply(pi3.apply(t)))
-             for t in nodes_in_range(out_depth, out_branch)}
-    shape_name = type(shape).__name__
+    pi1, pi2, pi3 = (st.embedding() for st in (st1, st2, st3))
+    table = {t: pi1.apply(pi2.apply(pi3.apply(t))) for t in st3.table}
     evidence = [st1.trace, st2.trace, st3.trace]
-    trace = _std_trace("classify_baire_function",
-                       {"depth": out_depth, "branch": out_branch},
-                       table, [{"kind": "meet_table"}],
-                       function=phi.spec, shape=shape_name, stages=evidence)
-    return shape, PartialEmbedding(table, out_depth, out_branch, trace), evidence
+    return shape, _made("classify_baire_function", params, table, [{"kind": "meet_table"}],
+                        out_depth, out_branch, function=phi.spec, shape=type(shape).__name__,
+                        stages=evidence), evidence

@@ -10,8 +10,15 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Any, Callable
 
-from .constructions import SpaceFunction
-from .embeddings import Agrees, Valid, meet_preservation_oracle, validate
+from .constructions import _SHAPE_OF_VERDICT, SpaceFunction
+from .embeddings import (
+    Agrees,
+    InvalidEmbedding,
+    MeetEmbedding,
+    Valid,
+    meet_preservation_oracle,
+    validate,
+)
 from .metric import Dyadic
 from .sequences import AugmentedPoint, Point, Record, Seq
 from .serialize import (
@@ -187,6 +194,43 @@ def _check_cert(cert: dict, trace: dict, phi: SpaceFunction | None,
     return f"unknown certificate kind {kind!r}"
 
 
+_PIPELINE = ["diameter_shrink", "children_stabilize", "disjointify"]
+
+
+def _classify_problem(trace: _Fields, stages: list[dict], table: dict[Seq, Seq]) -> str | None:
+    """What breaks the pipeline a classify_baire_function trace claims, or
+    None.  A Constant shape rests on no stages.  Any other shape rests on
+    the three pipeline stages in order, each run on the function the stages
+    before it leave; the table must be the composite of the stage tables,
+    and the shape the one the stabilize verdicts give."""
+    shape = trace.get("shape")
+    if shape == "Constant":
+        return None if stages == [] else "classify: a Constant shape rests on no stages"
+    ops = [stage.get("op") for stage in stages]
+    if ops != _PIPELINE:
+        return f"classify: stages {ops}, not {_PIPELINE}"
+    spec = trace.get("function")
+    for i, stage in enumerate(stages):
+        if stage.get("function") != spec:
+            return f"classify: stage {i} is not run on the function the stages before it leave"
+        spec = {"base": spec, "precompose": stage.get("table")}
+    tables = [table_from_json(stage.get("table", {})) for stage in stages]
+    pi1, pi2, pi3 = (MeetEmbedding.from_table(t) for t in tables)
+    try:
+        composite = {t: pi1.apply(pi2.apply(pi3.apply(t))) for t in tables[2]}
+    except InvalidEmbedding as e:
+        return f"classify: the stage tables do not compose: {e}"
+    if composite != table:
+        return "classify: the table is not the composite of the stage tables"
+    stabilize = _Fields(stages[1], f"{trace.path}.stages[1]")
+    verdicts = stabilize.read("verdicts", _typed(dict, "an object"))
+    kinds = sorted({str(v).partition(":")[0] for v in verdicts.values()})
+    shapes = {v.__name__: s.__name__ for v, s in _SHAPE_OF_VERDICT.items()}
+    if len(kinds) != 1 or shapes.get(kinds[0]) != shape:
+        return f"classify: shape {shape!r} does not follow from the verdicts {kinds}"
+    return None
+
+
 def recheck(trace: dict) -> RecheckReport:
     """Re-verify a construction trace from scratch; recurses into stages.
     A malformed field raises ParseError naming its path, e.g.
@@ -216,4 +260,7 @@ def _recheck(trace: dict, path: str) -> RecheckReport:
             report.failures.append(msg)
     for i, stage in enumerate(stages):
         report.merge(_recheck(stage, f"{path}.stages[{i}]"))
+    if trace.get("op") == "classify_baire_function":
+        msg = _classify_problem(fields, stages, table)
+        report.merge(RecheckReport(msg is None, 1, [] if msg is None else [msg]))
     return report

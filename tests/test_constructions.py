@@ -254,6 +254,49 @@ def test_classifier_trichotomy():
     assert_good(pe)
 
 
+def _drop_stages(trace):
+    trace["stages"] = []
+
+
+def _shift_table(trace):
+    trace["table"] = {key: [9] + image for key, image in trace["table"].items()}
+
+
+def _claim_star(trace):
+    trace["shape"] = "EmbedsIntoBaireStar"
+
+
+def _claim_constant(trace):
+    trace["shape"] = "Constant"
+
+
+def _swap_stages(trace):
+    trace["stages"][0], trace["stages"][2] = trace["stages"][2], trace["stages"][0]
+
+
+def _rebase_last_stage(trace):
+    trace["stages"][2]["function"] = trace["stages"][1]["function"]
+
+
+@pytest.mark.parametrize("tamper, failure", [
+    (_drop_stages, "classify: stages [], not"),
+    (_shift_table, "classify: the table is not the composite of the stage tables"),
+    (_claim_star, "classify: shape 'EmbedsIntoBaireStar' does not follow from the verdicts"),
+    (_claim_constant, "classify: a Constant shape rests on no stages"),
+    (_swap_stages, "classify: stages ['disjointify', 'children_stabilize', 'diameter_shrink']"),
+    (_rebase_last_stage, "classify: stage 2 is not run on the function"),
+], ids=["no-stages", "table-prefixed-9", "star-shape", "constant-shape", "stage-order",
+        "stage-function"])
+def test_recheck_ties_a_classify_shape_to_its_pipeline(tamper, failure):
+    _, pe, _ = classify_baire_function(space_function("baire-identity"), budget=BUDGET)
+    trace = json.loads(json.dumps(pe.trace))
+    assert recheck(copy.deepcopy(trace)).ok
+    tamper(trace)
+    report = recheck(trace)
+    assert not report.ok
+    assert any(f.startswith(failure) for f in report.failures), report.failures
+
+
 def test_traces_are_json_documents():
     _, pe = shrink_or_discrete(space_function("length"), SCHED, 2, 3, BUDGET)
     text = json.dumps(pe.trace)

@@ -6,6 +6,13 @@ JSON round trip, and compares a sha256 of each op's traces (json.dumps with
 sorted keys, concatenated in CONFIGS order) with the value the traces had
 when this test was written.  A change to a search, a certificate or the
 order of either shows here as a changed hash.
+
+Two wider pins follow.  One sha256 covers the outcome of every op on every
+registry oracle of its kind at depth 1-3 and branch 2-3, failures included,
+so a change in how a search counts its steps shows too.  And the registry
+oracle calls of the 650 benchmark builds are counted per op and held to the
+counts they had when this test was written, so that a search which loses an
+early exit fails here, not only in the benchmark.
 """
 import hashlib
 import json
@@ -14,6 +21,8 @@ from pathlib import Path
 
 import pytest
 
+from seqstar import registry
+from seqstar.sequences import BudgetExceeded, DomainMismatch
 from seqstar.trace import recheck
 
 BENCH = str(Path(__file__).resolve().parent.parent / "bench")
@@ -62,3 +71,81 @@ def test_traces_match_the_golden_hash_and_recheck_ok(op):
         report = recheck(json.loads(text))
         assert report.ok and not report.failures, (config, report.failures[:3])
     assert digest.hexdigest() == GOLDEN[op]
+
+
+# --- every outcome, failures included --------------------------------------
+
+OUTCOMES, FAILURES = 894, 238
+OUTCOMES_GOLDEN = "8089749239692ac619f3840cb30d5e6b9ae6ce1f11097c297339b6a3f729fc80"
+
+
+def every_config():
+    for op in construct_recheck.OPS:
+        oracles = (registry.TREE_SETS if op == "ramsey"
+                   else registry.TREE_FAMILIES if op in ("category", "continuity")
+                   else registry.FUNCTIONS)
+        for name in sorted(oracles):
+            for depth, branch in ALL_PAIRS:
+                yield op, name, depth, branch
+
+
+def test_every_outcome_matches_the_golden_hash():
+    digest = hashlib.sha256()
+    count = failed = 0
+    for config in every_config():
+        count += 1
+        try:
+            text = json.dumps(construct_recheck.build(*config).trace, sort_keys=True)
+        except (BudgetExceeded, DomainMismatch) as e:
+            failed += 1
+            text = f"{type(e).__name__}|{getattr(e, 'stage', None)}|{e}"
+        digest.update(text.encode())
+    assert (count, failed) == (OUTCOMES, FAILURES)
+    assert digest.hexdigest() == OUTCOMES_GOLDEN
+
+
+# --- oracle-call ceilings --------------------------------------------------
+
+ORACLE_FIELDS = ("evaluate", "value_distance", "cone_diameter")
+
+# op -> registry (evaluate, value_distance, cone_diameter) calls over its
+# benchmark builds; ops on tree sets or families call none of these.
+CEILINGS = {
+    "shrink": (0, 0, 751),
+    "stabilize": (19_488, 9_970, 0),
+    "disjointify": (157, 268, 268),
+    "limit": (7_664, 4_030, 0),
+    "eps-split": (26_133, 36_735, 0),
+    "shrink-or-discrete": (16_305, 31_842, 0),
+    "avoid": (1_764, 1_764, 0),
+    "finite-avoid": (14_038, 14_038, 0),
+    "discrete-refine": (23_632, 50_614, 0),
+    "classify": (4_110, 3_660, 554),
+}
+
+
+def test_oracle_calls_stay_within_their_ceilings(monkeypatch):
+    calls = dict.fromkeys(ORACLE_FIELDS, 0)
+
+    def counted(field, f):
+        def call(*args):
+            calls[field] += 1
+            return f(*args)
+        return call
+
+    for phi in registry.FUNCTIONS.values():
+        for field in ORACLE_FIELDS:
+            if getattr(phi, field) is not None:
+                monkeypatch.setattr(phi, field, counted(field, getattr(phi, field)))
+    used = {}
+    for op in GOLDEN:
+        for field in ORACLE_FIELDS:
+            calls[field] = 0
+        for config in configs(op):
+            construct_recheck.build(*config)
+        if any(calls.values()):
+            used[op] = tuple(calls[f] for f in ORACLE_FIELDS)
+    assert set(used) == set(CEILINGS)
+    over = {op: (used[op], CEILINGS[op]) for op in CEILINGS
+            if any(u > c for u, c in zip(used[op], CEILINGS[op]))}
+    assert not over, over

@@ -4,6 +4,7 @@ Importing seqstar registers its submodules without running them; these
 tests read a module's namespace with object.__getattribute__, which does
 not trigger the load, to tell which modules a call ran.
 """
+import ast
 import copy
 import hashlib
 import json
@@ -124,3 +125,53 @@ def test_construct_classify_prints_the_same_bytes_as_before():
     assert len(out) == 6316
     assert hashlib.sha256(out).hexdigest() == \
         "694e73f7b1dcfccf1533e929f502a0e35c513065d18ba871c0c87b925c88a223"
+
+
+# --- leftovers --------------------------------------------------------------
+
+MODULES = {path.stem: ast.parse(path.read_text(), str(path))
+           for path in sorted(Path(seqstar.__file__).resolve().parent.glob("*.py"))}
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    """Every name the module reads, as a plain name or as an attribute."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+@pytest.mark.parametrize("module", list(MODULES))
+def test_every_imported_name_is_used(module):
+    tree = MODULES[module]
+    imported = [alias.asname or alias.name.partition(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names]
+    assert sorted(set(imported) - _used_names(tree)) == []
+
+
+def test_every_module_level_private_name_is_referenced():
+    referenced = set()
+    for tree in MODULES.values():
+        referenced |= _used_names(tree)
+        referenced |= {alias.name for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unreferenced = []
+    for module, tree in MODULES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unreferenced += [f"{module}.{name}" for name in names
+                             if name.startswith("_") and not name.startswith("__")
+                             and name not in referenced]
+    assert unreferenced == []
