@@ -36,15 +36,14 @@ _EXPORTS = {
         "meet_preservation_oracle", "preimage_cone", "validate",
     ),
     "serialize": (),
-    "constructions": (
-        "PartialEmbedding", "SpaceFunction", "TreeSetOracle", "classify_baire_function",
-        "compose_function",
-    ),
+    "constructions": ("PartialEmbedding", "classify_baire_function"),
     "trace": ("RecheckReport", "recheck"),
+    "registry": ("SpaceFunction", "TreeSetOracle", "compose_function"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = sorted([*_EXPORTS, *_HOME])
+# registry, like catalog, is a submodule that __all__ does not name
+__all__ = sorted([*_EXPORTS.keys() - {"registry"}, *_HOME])
 
 
 def _register_lazily(name: str) -> None:
@@ -56,7 +55,7 @@ def _register_lazily(name: str) -> None:
     globals()[name] = module
 
 
-for _name in (*_EXPORTS, "catalog", "registry"):
+for _name in (*_EXPORTS, "catalog"):
     _register_lazily(_name)
 del _name
 

@@ -11,25 +11,11 @@ import json
 import os
 import random
 import sys
-from typing import Any
 
-from . import (catalog as cat, constructions as con, embeddings as emb, metric, registry,
-               sequences as seq, serialize as ser, topology as top, trace)
+from . import (catalog as cat, embeddings as emb, metric, registry, sequences as seq,
+               serialize as ser, topology as top, trace)
 
 EXIT_PIPE, EXIT_PARSE, EXIT_DOMAIN, EXIT_BUDGET = 1, 2, 3, 4
-
-
-def _json_arg(text: str | None, what: str) -> Any:
-    if text is None:
-        raise ser.ParseError(f"{what} is required")
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ser.ParseError(f"bad JSON for {what}: {e}") from e
-
-
-def _seq_arg(text: str | None, what: str) -> seq.Seq:
-    return ser._seq(_json_arg(text, what), what)
 
 
 def _emit(doc: dict) -> int:
@@ -41,8 +27,8 @@ def _emit(doc: dict) -> int:
 
 
 def _cmd_dist(args) -> int:
-    a = ser.point_from_json(_json_arg(args.a, "--a"))
-    b = ser.point_from_json(_json_arg(args.b, "--b"))
+    a = ser.point_from_json(ser.json_arg(args.a, "--a"))
+    b = ser.point_from_json(ser.json_arg(args.b, "--b"))
     d = metric.distance(a, b, budget=seq.DepthBudget(depth=args.depth))
     if isinstance(d, metric.Exact):
         return _emit({"exact": str(d.value)})
@@ -50,24 +36,24 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_meet(args) -> int:
-    s = _seq_arg(args.s, "--s")
-    t = _seq_arg(args.t, "--t")
+    s = ser.seq_arg(args.s, "--s")
+    t = ser.seq_arg(args.t, "--t")
     return _emit({"meet": list(seq.meet(s, t))})
 
 
 def _cmd_eps(args) -> int:
-    t = _seq_arg(args.t, "--t")
+    t = ser.seq_arg(args.t, "--t")
     return _emit({"eps": str(metric.weight_schedule()(t))})
 
 
 def _cmd_member(args) -> int:
-    B = ser.basic_from_json(_json_arg(args.set, "--set"))
-    p = ser.point_from_json(_json_arg(args.point, "--point"))
+    B = ser.basic_from_json(ser.json_arg(args.set, "--set"))
+    p = ser.point_from_json(ser.json_arg(args.point, "--point"))
     return _emit({"member": top.basic_member(B, p, seq.DepthBudget(depth=args.depth))})
 
 
 def _parse_family(text: str):
-    obj = _json_arg(text, "--family")
+    obj = ser.json_arg(text, "--family")
     if not isinstance(obj, list):
         raise ser.ParseError("--family must be a JSON list of basic sets")
     return [ser.basic_from_json(x) for x in obj]
@@ -91,7 +77,7 @@ def _cmd_descent(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    pi = ser.embedding_from_json(_json_arg(args.pi, "--pi"))
+    pi = ser.embedding_from_json(ser.json_arg(args.pi, "--pi"))
     depth, branch = args.depth, args.branch
     if args.action == "check":
         try:
@@ -103,17 +89,17 @@ def _cmd_embed(args) -> int:
         return _emit({"valid": False,
                       "violation": {"t": list(v.t), "i": v.i, "j": v.j}})
     if args.action == "eval":
-        t = _seq_arg(args.t, "--t")
+        t = ser.seq_arg(args.t, "--t")
         return _emit({"image": list(pi.apply(t))})
     if args.action == "extend":
-        p = ser.point_from_json(_json_arg(args.point, "--point"))
+        p = ser.point_from_json(ser.json_arg(args.point, "--point"))
         return _emit({"point": ser.point_to_json(emb.extend(pi, p))})
     if args.action == "compose":
-        pi2 = ser.embedding_from_json(_json_arg(args.pi2, "--pi2"))
+        pi2 = ser.embedding_from_json(ser.json_arg(args.pi2, "--pi2"))
         composed = pi.compose(pi2)
         table = {t: composed.apply(t) for t in seq.nodes_in_range(depth, branch)}
         return _emit({"table": ser.table_to_json(table)})
-    t = _seq_arg(args.t, "--t")
+    t = ser.seq_arg(args.t, "--t")
     r = emb.preimage_cone(pi, t, depth, branch)
     if isinstance(r, emb.Empty):
         return _emit({"empty": True, "range_limited": r.range_limited})
@@ -168,9 +154,9 @@ def _cmd_catalog(args) -> int:
         raise ser.ParseError(f"--fn must be in [0, {len(fns)})")
     f = fns[args.fn]
     if args.action == "eval":
-        p = ser.point_from_json(_json_arg(args.point, "--point"))
+        p = ser.point_from_json(ser.json_arg(args.point, "--point"))
         return _emit({"value": _tagged_to_json(cat.evaluate(f, p))})
-    pi = ser.embedding_from_json(_json_arg(args.pi, "--pi"))
+    pi = ser.embedding_from_json(ser.json_arg(args.pi, "--pi"))
     phi = registry.space_function("compactify-identity")
     samples = _domain_samples(f, args.samples, args.seed)
     r = cat.embed_via(pi, f, phi, samples)
@@ -178,32 +164,6 @@ def _cmd_catalog(args) -> int:
         return _emit({"pairing": False, "witness": ser.point_to_json(r.witness)})
     return _emit({"pairing": True, "samples": len(samples),
                   "distinct_outputs": len(r.psi)})
-
-
-def _root(args) -> seq.Seq:
-    return _seq_arg(args.root, "--root")
-
-
-# op -> (the flag naming its registry oracle, the construction run on that
-# oracle, the parsed arguments and r = (table depth, table branch, budget))
-_CONSTRUCT = {
-    "ramsey": ("set", lambda o, a, *r: con.ramsey_split(o, *r)[1]),
-    "category": ("family", lambda o, a, *r: con.category_refine(o, _root(a), *r)),
-    "continuity": ("family", lambda o, a, *r: con.continuity_refine(o, _root(a), *r)),
-    "shrink": ("fn", lambda o, a, *r: con.diameter_shrink(o, metric.weight_schedule(), *r)),
-    "stabilize": ("fn", lambda o, a, *r: con.children_stabilize(o, a.selector_budget, *r)[0]),
-    "disjointify": ("fn", lambda o, a, *r: con.disjointify(o, *r)),
-    "limit": ("fn", lambda o, a, *r: con.limit_refine(o, metric.weight_schedule(), *r)[1]),
-    "eps-split": ("fn", lambda o, a, *r: con.epsilon_discrete_or_ball(
-        o, ser.dyadic_from_json(a.eps), _root(a), *r)[1]),
-    "shrink-or-discrete": ("fn", lambda o, a, *r:
-                           con.shrink_or_discrete(o, metric.weight_schedule(), *r)[1]),
-    "avoid": ("fn", lambda o, a, *r: con.point_avoid(o, ser.dyadic_from_json(a.x), r[2])[1]),
-    "finite-avoid": ("fn", lambda o, a, *r: con.finite_avoid_or_converge(
-        o, [ser.dyadic_from_json(s.strip()) for s in a.values.split(";")], _root(a), *r)[1]),
-    "discrete-refine": ("fn", lambda o, a, *r: con.discrete_refine(o, metric.weight_schedule(), *r)[1]),
-    "classify": ("fn", lambda o, a, *r: con.classify_baire_function(o, *r)[1]),
-}
 
 
 def _cmd_construct(args) -> int:
@@ -217,14 +177,13 @@ def _cmd_construct(args) -> int:
                     text = fh.read()
             except OSError:
                 pass  # treat the argument as inline JSON
-        report = trace.recheck(_json_arg(text, "trace"))
+        report = trace.recheck(ser.json_arg(text, "trace"))
         return _emit({"ok": report.ok, "checked": report.checked,
                       "failures": report.failures})
-    flag, build = _CONSTRUCT[args.op]
-    lookup = {"set": registry.tree_set, "family": registry.tree_family,
-              "fn": registry.space_function}[flag]
-    pe = build(lookup(getattr(args, flag)), args, args.depth, args.branch,
-               seq.DepthBudget(steps=args.steps))
+    op = next(op for op in registry.OPS.values() if op.cli == args.op)
+    flag, lookup = op.oracle
+    pe = op.run(lookup(getattr(args, flag)), args, args.depth, args.branch,
+                seq.DepthBudget(steps=args.steps))
     return _emit(pe.trace)
 
 
@@ -305,7 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_catalog)
 
     p = sub.add_parser("construct", help="oracle-driven embedding constructions")
-    p.add_argument("op", choices=[*_CONSTRUCT, "recheck"])
+    # registry.OPS holds these ops; naming them here keeps the parser from loading it
+    p.add_argument("op", choices=[
+        "ramsey", "category", "continuity", "shrink", "stabilize", "disjointify", "limit",
+        "eps-split", "shrink-or-discrete", "avoid", "finite-avoid", "discrete-refine", "classify",
+        "recheck"])
     p.add_argument("--set", default="all", help="tree set name (ramsey)")
     p.add_argument("--family", default="all-levels", help="tree family name")
     p.add_argument("--fn", default="const-zero", help="space function name")

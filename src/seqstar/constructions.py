@@ -32,66 +32,11 @@ from .sequences import (
     nodes_in_range,
     weight,
 )
-from .embeddings import MeetEmbedding, Valid, extend, validate
+from .embeddings import MeetEmbedding, Valid, validate
+from .registry import SHAPE_OF_VERDICT, SpaceFunction, TreeFamily, TreeSetOracle, compose_function
 from .serialize import node_key, point_to_json, table_to_json, value_to_json
 
 Value = Any  # Dyadic or Point; equality/distance owned by the SpaceFunction
-
-
-class TreeSetOracle(Record):
-    """A set of tree nodes given by a pure membership test, optionally with
-    a density hint mapping each node to an extension inside the set."""
-
-    __slots__ = ("name", "member", "dense_extension")
-
-    def __init__(self, name: str, member: Callable[[Seq], bool],
-                 dense_extension: Callable[[Seq], Seq] | None = None):
-        super().__init__(name, member, dense_extension)
-
-
-class TreeFamily(Frozen):
-    """Tree sets indexed by level, under the name a trace records."""
-
-    __slots__ = ("name", "level")
-
-    def __call__(self, n: int) -> TreeSetOracle:
-        return self.level(n)
-
-
-class SpaceFunction(Record):
-    """A function into a metric space, presented through oracles.
-
-    cone_diameter(t) upper-bounds the diameter of the image of the cone at
-    t and must be monotone along prefixes.  Where a construction probes the
-    values on the cone at t, it samples the point PeriodicPoint(t, (0,)),
-    t followed by zeros, which stays finitely presented in every trace.
-    """
-
-    __slots__ = ("name", "evaluate", "value_distance", "cone_diameter", "spec")
-
-    def __init__(
-        self,
-        name: str,
-        evaluate: Callable[[Point], Value],
-        value_distance: Callable[[Value, Value], Dyadic],
-        cone_diameter: Callable[[Seq], Dyadic] | None = None,
-        spec: dict | None = None,
-    ):
-        super().__init__(name, evaluate, value_distance, cone_diameter,
-                         {"name": name} if spec is None else spec)
-
-
-def compose_function(phi: SpaceFunction, table: dict[Seq, Seq]) -> SpaceFunction:
-    """phi after the continuous extension of the table embedding."""
-    pi = MeetEmbedding.from_table(table)
-    return SpaceFunction(
-        name=f"{phi.name}∘table",
-        evaluate=lambda p: phi.evaluate(extend(pi, p)),
-        value_distance=phi.value_distance,
-        cone_diameter=(None if phi.cone_diameter is None
-                       else lambda t: phi.cone_diameter(pi.apply(t))),
-        spec={"base": phi.spec, "precompose": table_to_json(table)},
-    )
 
 
 # --- result modes ---------------------------------------------------------
@@ -159,10 +104,6 @@ class EmbedsIntoBaire(Frozen):
 
 class EmbedsIntoBaireStar(Frozen):
     __slots__ = ()
-
-
-# the shape classify_baire_function reports when every child verdict is of one kind
-_SHAPE_OF_VERDICT = {Convergent: EmbedsIntoBaireStar, Discrete: EmbedsIntoBaire}
 
 
 class PartialEmbedding(Record):
@@ -536,14 +477,8 @@ def disjointify(
                     f"samples below {r} do not separate (constant region?)",
                     stage="disjointify")
         for m in range(24):
-            depth = len(r) + 1 + m
-            imgs = []
-            for p in samples:
-                pre = p.restrict(depth, budget)
-                if pre.marked or len(pre.seq) < depth:
-                    raise BudgetExceeded("sample too short to deepen its cone",
-                                         stage="disjointify")
-                imgs.append(pre.seq)
+            # a periodic point's prefix has the length asked for, or restrict raises
+            imgs = [p.restrict(len(r) + 1 + m, budget).seq for p in samples]
             ok = all(
                 phi.value_distance(values[a], values[b])
                 > phi.cone_diameter(imgs[a]) + phi.cone_diameter(imgs[b])
@@ -909,7 +844,7 @@ def classify_baire_function(
     out_depth: int = 2,
     out_branch: int = 3,
     budget: DepthBudget | None = None,
-) -> tuple[Constant | EmbedsIntoBaire | EmbedsIntoBaireStar, PartialEmbedding, list[dict]]:
+) -> tuple[Constant | EmbedsIntoBaire | EmbedsIntoBaireStar, PartialEmbedding]:
     """Trichotomy pipeline: constant-region probe, then diameter shrinking,
     child stabilization (uniform verdict required), and disjointification,
     with the composite table and all stage traces as evidence."""
@@ -920,24 +855,22 @@ def classify_baire_function(
     if all(phi.value_distance(values[0], v).is_zero() for v in values[1:]):
         certs = [_cmp("value_dist_le", probes[0], p, Dyadic.zero()) for p in probes[1:]]
         table = _prefix_table((), out_depth, out_branch)
-        pe = _made("classify_baire_function", params, table, certs, out_depth, out_branch,
-                   function=phi.spec, shape="Constant", stages=[])
-        return Constant(), pe, [pe.trace]
+        return Constant(), _made("classify_baire_function", params, table, certs, out_depth,
+                                 out_branch, function=phi.spec, shape="Constant", stages=[])
 
     st1 = diameter_shrink(phi, None, out_depth, out_branch, budget)
     phi1 = compose_function(phi, st1.table)
     st2, verdicts = children_stabilize(phi1, 48, out_depth, out_branch, budget)
-    kinds = {type(v) for v in verdicts.values()}
+    kinds = {type(v).__name__ for v in verdicts.values()}
     if len(kinds) != 1:
         raise BudgetExceeded("mixed child verdicts; no uniform shape certified",
                              stage="classify_baire_function")
-    shape = _SHAPE_OF_VERDICT[kinds.pop()]()
+    shape = globals()[SHAPE_OF_VERDICT[kinds.pop()]]()
     phi2 = compose_function(phi1, st2.table)
     st3 = disjointify(phi2, out_depth, out_branch, budget)
 
     pi1, pi2, pi3 = (st.embedding() for st in (st1, st2, st3))
     table = {t: pi1.apply(pi2.apply(pi3.apply(t))) for t in st3.table}
-    evidence = [st1.trace, st2.trace, st3.trace]
     return shape, _made("classify_baire_function", params, table, [{"kind": "meet_table"}],
                         out_depth, out_branch, function=phi.spec, shape=type(shape).__name__,
-                        stages=evidence), evidence
+                        stages=[st1.trace, st2.trace, st3.trace])

@@ -1,30 +1,93 @@
-"""Built-in tree-set oracles and space functions, addressable by name.
+"""Built-in oracles addressable by name, the value types that carry them,
+and the contract of every construction op.
 
 The command-line layer only accepts oracles from this registry so that
 every emitted trace can be re-verified offline: the trace stores the name,
-the recheck run looks the same object up again.
+the recheck run looks the same object up again.  OPS holds, per op, what
+the command line and recheck know of it.  Nothing here runs the
+constructions' code until an op is run, so recheck never loads it.
 """
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable
 
-from .constructions import SpaceFunction, TreeFamily, TreeSetOracle, compose_function
+from . import constructions as con  # a module reference: only running an op loads it
 from .embeddings import MeetEmbedding, extend
 from .metric import Dyadic, Exact, distance
 from .sequences import (
     AugmentedPoint,
     DomainMismatch,
     FinitePoint,
+    Frozen,
     InfinitePoint,
     PeriodicPoint,
     Point,
+    Record,
     Seq,
     Undetermined,
     canonical_index,
     split_index,
     weight,
 )
-from .serialize import ParseError, table_from_json
+from .serialize import ParseError, dyadic_from_json, seq_arg, table_from_json, table_to_json
+
+
+class TreeSetOracle(Record):
+    """A set of tree nodes given by a pure membership test, optionally with
+    a density hint mapping each node to an extension inside the set."""
+
+    __slots__ = ("name", "member", "dense_extension")
+
+    def __init__(self, name: str, member: Callable[[Seq], bool],
+                 dense_extension: Callable[[Seq], Seq] | None = None):
+        super().__init__(name, member, dense_extension)
+
+
+class TreeFamily(Frozen):
+    """Tree sets indexed by level, under the name a trace records."""
+
+    __slots__ = ("name", "level")
+
+    def __call__(self, n: int) -> TreeSetOracle:
+        return self.level(n)
+
+
+class SpaceFunction(Record):
+    """A function into a metric space, presented through oracles.
+
+    Its values are Dyadic or Point; value_distance owns their equality.
+    cone_diameter(t) upper-bounds the diameter of the image of the cone at
+    t and must be monotone along prefixes.  Where a construction probes the
+    values on the cone at t, it samples the point PeriodicPoint(t, (0,)),
+    t followed by zeros, which stays finitely presented in every trace.
+    """
+
+    __slots__ = ("name", "evaluate", "value_distance", "cone_diameter", "spec")
+
+    def __init__(
+        self,
+        name: str,
+        evaluate: Callable[[Point], Any],
+        value_distance: Callable[[Any, Any], Dyadic],
+        cone_diameter: Callable[[Seq], Dyadic] | None = None,
+        spec: dict | None = None,
+    ):
+        super().__init__(name, evaluate, value_distance, cone_diameter,
+                         {"name": name} if spec is None else spec)
+
+
+def compose_function(phi: SpaceFunction, table: dict[Seq, Seq]) -> SpaceFunction:
+    """phi after the continuous extension of the table embedding."""
+    pi = MeetEmbedding.from_table(table)
+    return SpaceFunction(
+        name=f"{phi.name}∘table",
+        evaluate=lambda p: phi.evaluate(extend(pi, p)),
+        value_distance=phi.value_distance,
+        cone_diameter=(None if phi.cone_diameter is None
+                       else lambda t: phi.cone_diameter(pi.apply(t))),
+        spec={"base": phi.spec, "precompose": table_to_json(table)},
+    )
+
 
 TREE_SETS: dict[str, TreeSetOracle] = {
     "all": TreeSetOracle("all", lambda t: True),
@@ -66,10 +129,6 @@ def _finite_part(p: Point) -> Seq:
     if isinstance(p, PeriodicPoint) and p.period == (0,):
         return p.head
     raise DomainMismatch(f"no finite entry support for {p!r}")
-
-
-def _dy(n: int) -> Dyadic:
-    return Dyadic(n)
 
 
 def _check_kind(a, b, kind: type) -> None:
@@ -132,14 +191,14 @@ _PREFIX0 = MeetEmbedding.prefix((0,))
 FUNCTIONS: dict[str, SpaceFunction] = {
     "const-zero": _rational("const-zero", lambda t: Dyadic.zero(),
                             cone_diameter=lambda t: Dyadic.zero()),
-    "entry-sum": _rational("entry-sum", lambda t: _dy(sum(t))),
-    "last-entry": _rational("last-entry", lambda t: _dy(t[-1] if t else 0)),
-    "length": _rational("length", lambda t: _dy(len(t))),
+    "entry-sum": _rational("entry-sum", lambda t: Dyadic(sum(t))),
+    "last-entry": _rational("last-entry", lambda t: Dyadic(t[-1] if t else 0)),
+    "length": _rational("length", lambda t: Dyadic(len(t))),
     "two-pow-last": _rational("two-pow-last", lambda t: Dyadic(1, t[-1] if t else 0)),
     "two-pow-weight": _rational("two-pow-weight", lambda t: Dyadic(1, weight(t))),
-    "enum-index": _rational("enum-index", lambda t: _dy(canonical_index(t))),
+    "enum-index": _rational("enum-index", lambda t: Dyadic(canonical_index(t))),
     "first-entry": _rational(
-        "first-entry", lambda t: _dy(t[0] if t else 0),
+        "first-entry", lambda t: Dyadic(t[0] if t else 0),
         cone_diameter=lambda t: Dyadic.one() if not t else Dyadic.zero()),
     # cone_diameter bounds the spread over the infinite part of the cone,
     # which both of these collapse to the single value 0.
@@ -207,3 +266,64 @@ def build_function(spec: dict) -> SpaceFunction:
         base = build_function(spec["base"])
         return compose_function(base, table_from_json(spec.get("precompose", {})))
     raise ParseError(f"malformed function spec {spec!r}")
+
+
+# --- the op contract ------------------------------------------------------
+
+# The shape classify_baire_function reports when every child verdict is of one kind.
+SHAPE_OF_VERDICT = {"Convergent": "EmbedsIntoBaireStar", "Discrete": "EmbedsIntoBaire"}
+
+
+class Op(Record):
+    """One construction op.  cli is its command-line name (None where the
+    command line does not run it); oracle is the flag naming its registry
+    oracle and the lookup of that name; kinds are the certificate kinds its
+    traces may carry; run(oracle, args, depth, branch, budget) calls the op
+    as the command line does, args holding the parsed flags; stages are the
+    ops of the stages it rests on, in order (None: no stages)."""
+
+    __slots__ = ("cli", "oracle", "kinds", "run", "stages")
+
+    def __init__(self, cli: str | None, oracle: tuple, kinds: str, run=None, stages=None):
+        super().__init__(cli, oracle, {"valid_table", *kinds.split()}, run, stages)
+
+
+def _root(args) -> Seq:
+    return seq_arg(args.root, "--root")
+
+
+_SET, _FAMILY, _FN = ("set", tree_set), ("family", tree_family), ("fn", space_function)
+
+# Keyed by the op a trace records, which is also the name of the function in
+# seqstar.constructions that runs it; run looks that function up at call time.
+OPS = {
+    "ramsey_split": Op("ramsey", _SET, "in_set", lambda o, a, *r: con.ramsey_split(o, *r)[1]),
+    "category_refine": Op("category", _FAMILY, "in_set",
+                          lambda o, a, *r: con.category_refine(o, _root(a), *r)),
+    "continuity_refine": Op("continuity", _FAMILY, "in_set",
+                            lambda o, a, *r: con.continuity_refine(o, _root(a), *r)),
+    "diameter_shrink": Op("shrink", _FN, "diam_lt",
+                          lambda o, a, *r: con.diameter_shrink(o, None, *r)),
+    "children_stabilize": Op("stabilize", _FN, "value_dist_le value_dist_ge", lambda o, a, *r:
+                             con.children_stabilize(o, a.selector_budget, *r)[0]),
+    "disjointify": Op("disjointify", _FN, "dist_gt_sum", lambda o, a, *r: con.disjointify(o, *r)),
+    "limit_refine": Op("limit", _FN, "value_dist_lt value_dist_ge",
+                       lambda o, a, *r: con.limit_refine(o, None, *r)[1]),
+    "epsilon_discrete_or_ball": Op(
+        "eps-split", _FN, "value_dist_lt value_dist_ge", lambda o, a, *r:
+        con.epsilon_discrete_or_ball(o, dyadic_from_json(a.eps), _root(a), *r)[1]),
+    "shrink_or_discrete": Op(
+        "shrink-or-discrete", _FN, "value_dist_ge cone_value_diam_lt meet_table",
+        lambda o, a, *r: con.shrink_or_discrete(o, None, *r)[1]),
+    "point_avoid": Op("avoid", _FN, "avoid_value",
+                      lambda o, a, *r: con.point_avoid(o, dyadic_from_json(a.x), r[2])[1]),
+    "finite_avoid_or_converge": Op(
+        "finite-avoid", _FN, "avoid_value", lambda o, a, *r: con.finite_avoid_or_converge(
+            o, [dyadic_from_json(s.strip()) for s in a.values.split(";")], _root(a), *r)[1]),
+    "discrete_refine": Op("discrete-refine", _FN, "value_dist_lt avoid_pair meet_table",
+                          lambda o, a, *r: con.discrete_refine(o, None, *r)[1]),
+    "classify_baire_function": Op("classify", _FN, "value_dist_le meet_table",
+                                  lambda o, a, *r: con.classify_baire_function(o, *r)[1],
+                                  ["diameter_shrink", "children_stabilize", "disjointify"]),
+    "disjoint_refine": Op(None, _FN, "diam_lt value_dist_le value_dist_ge"),
+}

@@ -5,6 +5,7 @@ functions; parse failures raise ParseError with a message naming the field.
 """
 from __future__ import annotations
 
+import json
 from typing import Any
 
 from .metric import Dyadic
@@ -26,6 +27,20 @@ def _seq(obj: Any, field: str) -> Seq:
     if not isinstance(obj, list) or not all(isinstance(x, int) and x >= 0 for x in obj):
         raise ParseError(f"{field} must be a list of nonnegative integers")
     return tuple(obj)
+
+
+def json_arg(text: str | None, what: str) -> Any:
+    """The JSON document of the command-line value text, given for what."""
+    if text is None:
+        raise ParseError(f"{what} is required")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"bad JSON for {what}: {e}") from e
+
+
+def seq_arg(text: str | None, what: str) -> Seq:
+    return _seq(json_arg(text, what), what)
 
 
 def point_to_json(p: Point) -> dict:

@@ -10,7 +10,6 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Any, Callable
 
-from .constructions import _SHAPE_OF_VERDICT, SpaceFunction
 from .embeddings import (
     Agrees,
     InvalidEmbedding,
@@ -20,6 +19,7 @@ from .embeddings import (
     validate,
 )
 from .metric import Dyadic
+from .registry import OPS, SHAPE_OF_VERDICT, SpaceFunction, build_function, tree_family, tree_set
 from .sequences import AugmentedPoint, Point, Record, Seq
 from .serialize import (
     ParseError,
@@ -86,13 +86,6 @@ def _table_range(table: dict[Seq, Seq]) -> tuple[int, int]:
     return depth, branch
 
 
-def _resolve_function(trace: dict) -> SpaceFunction | None:
-    from .registry import build_function
-
-    spec = trace.get("function")
-    return None if spec is None else build_function(spec)
-
-
 class _Memo:
     """What the certificates of one stage share: phi's value at each point
     and each bound parsed, each worked out once."""
@@ -131,8 +124,6 @@ def _check_cert(cert: dict, trace: dict, phi: SpaceFunction | None,
         r = meet_preservation_oracle(table, depth, branch)
         return None if isinstance(r, Agrees) else f"meet preservation failed: {r}"
     if kind == "in_set":
-        from .registry import tree_family, tree_set
-
         node = cert.node("node")
         if "family_level" in cert:
             family = tree_family(trace.read("family", _typed(str, "a tree family name")))
@@ -194,7 +185,21 @@ def _check_cert(cert: dict, trace: dict, phi: SpaceFunction | None,
     return f"unknown certificate kind {kind!r}"
 
 
-_PIPELINE = ["diameter_shrink", "children_stabilize", "disjointify"]
+def _contract_problems(trace: dict, stages: list) -> list[str]:
+    """How the trace breaks the contract of its op in registry.OPS: an op
+    the table lacks, stages under an op that rests on none, or a
+    certificate of a kind the op does not emit."""
+    name = trace.get("op")
+    op = OPS.get(name) if isinstance(name, str) else None
+    if op is None:
+        return [f"unknown op {name!r}"]
+    problems = []
+    if stages and op.stages is None:
+        problems.append(f"{name} rests on no stages, but the trace has {len(stages)}")
+    foreign = sorted({str(cert.get("kind")) for cert in trace["certificates"]} - op.kinds)
+    if foreign:
+        problems.append(f"{name} emits no certificate of kind {foreign}")
+    return problems
 
 
 def _classify_problem(trace: _Fields, stages: list[dict], table: dict[Seq, Seq]) -> str | None:
@@ -206,9 +211,9 @@ def _classify_problem(trace: _Fields, stages: list[dict], table: dict[Seq, Seq])
     shape = trace.get("shape")
     if shape == "Constant":
         return None if stages == [] else "classify: a Constant shape rests on no stages"
-    ops = [stage.get("op") for stage in stages]
-    if ops != _PIPELINE:
-        return f"classify: stages {ops}, not {_PIPELINE}"
+    ops, pipeline = [stage.get("op") for stage in stages], OPS["classify_baire_function"].stages
+    if ops != pipeline:
+        return f"classify: stages {ops}, not {pipeline}"
     spec = trace.get("function")
     for i, stage in enumerate(stages):
         if stage.get("function") != spec:
@@ -225,8 +230,7 @@ def _classify_problem(trace: _Fields, stages: list[dict], table: dict[Seq, Seq])
     stabilize = _Fields(stages[1], f"{trace.path}.stages[1]")
     verdicts = stabilize.read("verdicts", _typed(dict, "an object"))
     kinds = sorted({str(v).partition(":")[0] for v in verdicts.values()})
-    shapes = {v.__name__: s.__name__ for v, s in _SHAPE_OF_VERDICT.items()}
-    if len(kinds) != 1 or shapes.get(kinds[0]) != shape:
+    if len(kinds) != 1 or SHAPE_OF_VERDICT.get(kinds[0]) != shape:
         return f"classify: shape {shape!r} does not follow from the verdicts {kinds}"
     return None
 
@@ -245,19 +249,18 @@ def _recheck(trace: dict, path: str) -> RecheckReport:
     if not isinstance(stages, list):
         raise ParseError(f"{path}.stages must be a list")
     try:
-        phi = _resolve_function(trace)
+        phi = None if trace.get("function") is None else build_function(trace["function"])
     except ParseError as e:
         return RecheckReport(False, 0, [f"cannot rebuild function: {e}"])
     table = _Fields(table_from_json(trace.get("table", {})), f"{path}.table")
-    report = RecheckReport(True, 0)
-    fields = _Fields(trace, path)
-    memo = _Memo(phi)
+    fields, memo = _Fields(trace, path), _Memo(phi)
+    report = RecheckReport(True, len(trace["certificates"]))
     for i, cert in enumerate(trace["certificates"]):
-        report.checked += 1
         msg = _check_cert(_Fields(cert, f"{path}.certificates[{i}]"), fields, phi, table, memo)
         if msg is not None:
-            report.ok = False
             report.failures.append(msg)
+    report.failures += _contract_problems(trace, stages)
+    report.ok = not report.failures
     for i, stage in enumerate(stages):
         report.merge(_recheck(stage, f"{path}.stages[{i}]"))
     if trace.get("op") == "classify_baire_function":

@@ -273,9 +273,9 @@ def test_criterion_09_recheck():
 
 @criterion(10, "classifier trichotomy with valid stage certificates", 30)
 def test_criterion_10_classifier():
-    shape, pe, _ = classify_baire_function(space_function("const-zero"), budget=BUDGET)
+    shape, pe = classify_baire_function(space_function("const-zero"), budget=BUDGET)
     assert isinstance(shape, Constant) and recheck(pe.trace).ok
-    shape, pe, _ = classify_baire_function(space_function("baire-identity"), budget=BUDGET)
+    shape, pe = classify_baire_function(space_function("baire-identity"), budget=BUDGET)
     assert isinstance(shape, EmbedsIntoBaire) and recheck(pe.trace).ok
-    shape, pe, _ = classify_baire_function(space_function("compactify-identity"), budget=BUDGET)
+    shape, pe = classify_baire_function(space_function("compactify-identity"), budget=BUDGET)
     assert isinstance(shape, EmbedsIntoBaireStar) and recheck(pe.trace).ok

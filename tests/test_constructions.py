@@ -39,8 +39,14 @@ from seqstar.constructions import (
 from seqstar.constructions import _LOCAL_CAP, _SearchFailed, _Steps, _find, _word_pool
 from seqstar.embeddings import Valid, validate
 from seqstar.metric import Dyadic, weight_schedule
-from seqstar.registry import FUNCTIONS, space_function, tree_family, tree_set
-from seqstar.sequences import BudgetExceeded, DepthBudget, DomainMismatch, PeriodicPoint
+from seqstar.registry import FUNCTIONS, SpaceFunction, space_function, tree_family, tree_set
+from seqstar.sequences import (
+    AugmentedPoint,
+    BudgetExceeded,
+    DepthBudget,
+    DomainMismatch,
+    PeriodicPoint,
+)
 from seqstar.serialize import point_from_json
 from seqstar.trace import recheck
 
@@ -242,14 +248,70 @@ def test_disjoint_refine_good_and_bad_witness():
         disjoint_refine(phi, PeriodicPoint((), (0,)), Dyadic(4, 0), BUDGET)
 
 
+# --- searches that run out --------------------------------------------------
+
+
+def _dyadic_function(name, evaluate, cone_diameter=None):
+    return SpaceFunction(name, evaluate, lambda a, b: a.abs_diff(b), cone_diameter)
+
+
+# 1 at augmented points whose last entry is at least 41, else 0: the 48
+# children of a node hold two values, so no three are apart, and only seven
+# of them sit at the 48th child's value, one short of a convergent chain.
+LATE_ONES = _dyadic_function("late-ones", lambda p: Dyadic(int(p.seq[-1] >= 41)))
+# 0, 1/2 or 1 by the first entry, with cone diameters pinned at 1: sibling
+# samples are apart, never by more than two diameters.
+SPREAD = _dyadic_function("spread", lambda p: Dyadic(min(p.restrict(1).seq[0], 2), 1),
+                          lambda t: Dyadic.one())
+# 1 at augmented points longer than 3, else 0: no depth-4 image is near its
+# infinite-part value, and every node of length <= 2 has a zero-valued
+# augmented point, which the infinite-part values reach at distance 0.
+LONG_AUGMENTED = _dyadic_function(
+    "long-augmented", lambda p: Dyadic(int(isinstance(p, AugmentedPoint) and len(p.seq) > 3)))
+# 0 or 1 with cone diameters pinned at 1: no witness prefix gets below delta/4.
+WIDE = _dyadic_function("wide", lambda p: Dyadic(int(isinstance(p, AugmentedPoint))),
+                        lambda t: Dyadic.one())
+# Not a metric: an augmented point ending in 16 (the tail a converging table
+# is measured against) is at distance 0 from every point, any other two are
+# 1/2 apart.  So the converging table passes, and the cone check catches the
+# pairs.
+TAIL_GLUED = SpaceFunction(
+    "tail-glued", lambda p: p,
+    lambda a, b: Dyadic.zero() if a == b or 16 in a.seq[-1:] + b.seq[-1:] else Dyadic(1, 1))
+
+
+@pytest.mark.parametrize("build, stage, message", [
+    (lambda: children_stabilize(space_function("length"), 4), "children_stabilize",
+     "selector budget below required chain length"),
+    (lambda: children_stabilize(LATE_ONES, 48, 1, 3, BUDGET), "children_stabilize",
+     r"neither verdict certified at \(\)"),
+    (lambda: disjointify(SPREAD, 1, 3, BUDGET), "disjointify",
+     r"separation never dominates diameters below \(\)"),
+    (lambda: limit_refine(LONG_AUGMENTED, SCHED, 4, 2, BUDGET), "limit_refine",
+     "neither continuity nor separation certified"),
+    (lambda: shrink_or_discrete(TAIL_GLUED, SCHED, 2, 2, BUDGET), "shrink_or_discrete",
+     r"cone value diameter not below 1/2 at \(0,\)"),
+    (lambda: finite_avoid_or_converge(space_function("entry-sum"), [Dyadic(k) for k in range(32)],
+                                      (), 2, 2, BUDGET), "finite_avoid_or_converge",
+     "neither convergence nor avoidance certified"),
+    (lambda: disjoint_refine(WIDE, PeriodicPoint((), (0,)), Dyadic(1), DepthBudget(depth=4)),
+     "disjoint_refine", "no witness prefix with small enough image diameter"),
+], ids=["stabilize-selector", "stabilize-no-verdict", "disjointify-never-dominates",
+        "limit-neither", "shrink-cone-diameter", "finite-avoid-neither", "disjoint-no-prefix"])
+def test_a_search_that_runs_out_names_its_stage(build, stage, message):
+    with pytest.raises(BudgetExceeded, match=f"^{message}$") as info:
+        build()
+    assert info.value.stage == stage
+
+
 def test_classifier_trichotomy():
-    shape, pe, ev = classify_baire_function(space_function("const-zero"), budget=BUDGET)
+    shape, pe = classify_baire_function(space_function("const-zero"), budget=BUDGET)
     assert isinstance(shape, Constant)
     assert_good(pe)
-    shape, pe, ev = classify_baire_function(space_function("baire-identity"), budget=BUDGET)
+    shape, pe = classify_baire_function(space_function("baire-identity"), budget=BUDGET)
     assert isinstance(shape, EmbedsIntoBaire)
     assert_good(pe)
-    shape, pe, ev = classify_baire_function(space_function("compactify-identity"), budget=BUDGET)
+    shape, pe = classify_baire_function(space_function("compactify-identity"), budget=BUDGET)
     assert isinstance(shape, EmbedsIntoBaireStar)
     assert_good(pe)
 
@@ -278,23 +340,56 @@ def _rebase_last_stage(trace):
     trace["stages"][2]["function"] = trace["stages"][1]["function"]
 
 
-@pytest.mark.parametrize("tamper, failure", [
-    (_drop_stages, "classify: stages [], not"),
-    (_shift_table, "classify: the table is not the composite of the stage tables"),
-    (_claim_star, "classify: shape 'EmbedsIntoBaireStar' does not follow from the verdicts"),
-    (_claim_constant, "classify: a Constant shape rests on no stages"),
-    (_swap_stages, "classify: stages ['disjointify', 'children_stabilize', 'diameter_shrink']"),
-    (_rebase_last_stage, "classify: stage 2 is not run on the function"),
+def _as_disjointify(trace):
+    trace["stages"], trace["op"] = [], "disjointify"
+
+
+def _drop_op(trace):
+    trace["stages"] = []
+    del trace["op"]
+
+
+def _unknown_op(trace):
+    trace["op"] = "no_such_op"
+
+
+def _add_in_set(trace):
+    trace["certificates"].append({"kind": "in_set", "oracle": "all", "node": [], "member": True})
+
+
+def _stages_under_a_stageless_op(trace):
+    trace["stages"][0]["stages"] = [trace["stages"][1]]
+
+
+# checked is the count recheck reports, where the tampering leaves every
+# certificate holding: the op contract fails the trace without being counted.
+@pytest.mark.parametrize("tamper, failure, checked", [
+    (_drop_stages, "classify: stages [], not", None),
+    (_shift_table, "classify: the table is not the composite of the stage tables", None),
+    (_claim_star, "classify: shape 'EmbedsIntoBaireStar' does not follow from the verdicts", None),
+    (_claim_constant, "classify: a Constant shape rests on no stages", None),
+    (_swap_stages, "classify: stages ['disjointify', 'children_stabilize', 'diameter_shrink']",
+     None),
+    (_rebase_last_stage, "classify: stage 2 is not run on the function", None),
+    (_as_disjointify, "disjointify emits no certificate of kind ['meet_table']", 2),
+    (_drop_op, "unknown op None", 2),
+    (_unknown_op, "unknown op 'no_such_op'", 42),
+    (_add_in_set, "classify_baire_function emits no certificate of kind ['in_set']", 44),
+    (_stages_under_a_stageless_op, "diameter_shrink rests on no stages, but the trace has 1",
+     None),
 ], ids=["no-stages", "table-prefixed-9", "star-shape", "constant-shape", "stage-order",
-        "stage-function"])
-def test_recheck_ties_a_classify_shape_to_its_pipeline(tamper, failure):
-    _, pe, _ = classify_baire_function(space_function("baire-identity"), budget=BUDGET)
+        "stage-function", "op-disjointify", "op-dropped", "op-unknown", "foreign-kind",
+        "stages-under-shrink"])
+def test_recheck_ties_a_classify_shape_to_its_pipeline(tamper, failure, checked):
+    _, pe = classify_baire_function(space_function("baire-identity"), budget=BUDGET)
     trace = json.loads(json.dumps(pe.trace))
     assert recheck(copy.deepcopy(trace)).ok
     tamper(trace)
     report = recheck(trace)
     assert not report.ok
     assert any(f.startswith(failure) for f in report.failures), report.failures
+    if checked is not None:
+        assert report.checked == checked and report.failures == [failure]
 
 
 def test_traces_are_json_documents():

@@ -7,6 +7,7 @@ not trigger the load, to tell which modules a call ran.
 import ast
 import copy
 import hashlib
+import importlib.util
 import json
 import os
 import pickle
@@ -102,18 +103,33 @@ print(json.dumps({{"code": code, "ran": {RAN}}}), file=sys.stderr)
 DIST = ["dist", "--a", '{"kind":"finite","seq":[0,1]}', "--b", '{"kind":"augmented","seq":[0]}']
 
 
-@pytest.mark.parametrize("argv, needs, not_run", [
-    (DIST, {"metric", "sequences", "serialize"},
+def _classify_trace(fn: str) -> str:
+    """What `seqstar construct classify --fn fn` prints."""
+    return subprocess.run([sys.executable, "-m", "seqstar.cli", "construct", "classify", "--fn", fn],
+                          env=ENV, capture_output=True, text=True, check=True).stdout
+
+
+# classify_fn names the function whose classify trace the call reads on stdin.
+@pytest.mark.parametrize("argv, classify_fn, needs, not_run", [
+    (DIST, None, {"metric", "sequences", "serialize"},
      {"constructions", "trace", "registry", "catalog", "topology", "embeddings"}),
-    (["catalog", "list"], {"catalog"}, {"constructions", "trace", "registry", "embeddings"}),
-    (["construct", "classify", "--fn", "depth-collapse"],
+    (["catalog", "list"], None, {"catalog"},
+     {"constructions", "trace", "registry", "embeddings"}),
+    (["construct", "classify", "--fn", "depth-collapse"], None,
      {"constructions", "registry"}, {"trace", "catalog"}),
-], ids=["dist", "catalog-list", "construct"])
-def test_a_subcommand_runs_only_the_modules_it_uses(argv, needs, not_run):
+    (["construct", "recheck"], "baire-identity", {"trace", "registry", "embeddings"},
+     {"constructions", "catalog"}),
+    (["catalog", "check-embed", "--pi", '{"kind":"prefix","s":[1]}'], None,
+     {"catalog", "registry", "embeddings"}, {"constructions", "trace"}),
+], ids=["dist", "catalog-list", "construct", "construct-recheck", "catalog-check-embed"])
+def test_a_subcommand_runs_only_the_modules_it_uses(argv, classify_fn, needs, not_run):
+    stdin = _classify_trace(classify_fn) if classify_fn else None
     proc = subprocess.run([sys.executable, "-c", RUN_AND_REPORT, json.dumps(argv)], env=ENV,
-                          capture_output=True, text=True, check=True)
+                          input=stdin, capture_output=True, text=True, check=True)
     report = json.loads(proc.stderr.strip().splitlines()[-1])
     assert report["code"] == 0
+    if classify_fn:
+        assert json.loads(proc.stdout) == {"ok": True, "checked": 43, "failures": []}
     assert needs <= set(report["ran"])
     assert not not_run & set(report["ran"])
 
@@ -125,6 +141,26 @@ def test_construct_classify_prints_the_same_bytes_as_before():
     assert len(out) == 6316
     assert hashlib.sha256(out).hexdigest() == \
         "694e73f7b1dcfccf1533e929f502a0e35c513065d18ba871c0c87b925c88a223"
+
+
+# --- the op table against the parser and the benchmark's lists -----------
+
+BENCH_SPEC = Path(__file__).resolve().parent.parent / "bench" / "spec.py"
+
+
+def test_the_op_table_matches_the_parser_and_the_benchmark_lists():
+    from seqstar import cli, constructions, registry
+
+    location = importlib.util.spec_from_file_location("bench_spec", BENCH_SPEC)
+    spec = importlib.util.module_from_spec(location)
+    location.loader.exec_module(spec)
+    commands = cli.build_parser()._subparsers._group_actions[0].choices
+    choices = next(a for a in commands["construct"]._actions if a.dest == "op").choices
+    cli_ops = [name for name, op in registry.OPS.items() if op.cli is not None]
+    assert choices == [registry.OPS[name].cli for name in cli_ops] + ["recheck"]
+    assert all(callable(getattr(constructions, name, None)) for name in registry.OPS)
+    assert spec.CONSTRUCT_FUNCTIONS == cli_ops
+    assert sorted(spec.CERT_KINDS) == sorted(set().union(*(op.kinds for op in registry.OPS.values())))
 
 
 # --- leftovers --------------------------------------------------------------

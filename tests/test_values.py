@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import seqstar
-from seqstar import catalog, constructions, embeddings, metric, sequences, topology, trace
+from seqstar import catalog, constructions, embeddings, metric, registry, sequences, topology, trace
 from seqstar.catalog import (
     CertifiedPairing,
     Const,
@@ -59,6 +59,7 @@ from seqstar.sequences import (
     Record,
     Undetermined,
 )
+from seqstar.registry import Op
 from seqstar.topology import Cone, ConeMinus, Counterexample, Covers, Singleton
 from seqstar.trace import RecheckReport
 
@@ -132,11 +133,13 @@ MUTABLE = {
     PartialEmbedding: ((_TABLE, 1, 2, {}), (_TABLE, 1, 2, {"kind": "x"})),
     RecheckReport: ((True, 1), (False, 1)),
     CertifiedPairing: (({},), ({1: 2},)),
+    Op: (("x", ("fn", _member), "in_set"), ("x", ("fn", _member), "diam_lt")),
 }
 
 
 def test_every_value_type_is_sampled():
-    found = {v for m in (sequences, metric, topology, embeddings, constructions, catalog, trace)
+    found = {v for m in (sequences, metric, topology, embeddings, constructions, catalog, trace,
+                         registry)
              for v in vars(m).values()
              if isinstance(v, type) and issubclass(v, Record) and v not in (Record, Frozen)}
     assert found == set(FROZEN) | set(MUTABLE)
