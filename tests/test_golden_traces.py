@@ -73,6 +73,55 @@ def test_traces_match_the_golden_hash_and_recheck_ok(op):
     assert digest.hexdigest() == GOLDEN[op]
 
 
+# --- the comparisons behind every trace ------------------------------------
+
+COMPARISONS_GOLDEN = "195dafca0aafa67573d0aa58103b3c091c0ebce812b0e5c95596e8cd3cac70bb"
+
+
+def expanded(trace):
+    """The trace with its certificates written out as one comparison per
+    pair, each point inline, sorted; its stages likewise.  A certificate
+    names a point by its index in the trace's points list, and a list of
+    indices on a side stands for each of them; a point object in its place
+    (as traces were first written, before the points list) stands for
+    itself."""
+    points = trace.get("points", [])
+
+    def sides(value):
+        return [points[i] if isinstance(i, int) else i
+                for i in (value if isinstance(value, list) else [value])]
+
+    comparisons = []
+    for cert in trace["certificates"]:
+        pairs = [cert]
+        for key in ("a", "b"):
+            if key in cert:
+                pairs = [dict(pair, **{key: p}) for pair in pairs for p in sides(cert[key])]
+        comparisons += [json.dumps(pair, sort_keys=True) for pair in pairs]
+    rest = {k: v for k, v in trace.items() if k not in ("certificates", "points", "stages")}
+    return {**rest, "certificates": sorted(comparisons),
+            "stages": [expanded(stage) for stage in trace.get("stages", [])]}
+
+
+def count_comparisons(doc):
+    return len(doc["certificates"]) + sum(count_comparisons(s) for s in doc["stages"])
+
+
+def test_every_trace_makes_the_pinned_comparisons_and_counts_each_one():
+    # The pin covers what a trace certifies, not how it writes it down.
+    # Recheck counts one check per comparison, plus the pipeline check of
+    # a classify trace.
+    digest = hashlib.sha256()
+    for op in GOLDEN:
+        for config in configs(op):
+            trace = json.loads(json.dumps(construct_recheck.build(*config).trace))
+            doc = expanded(trace)
+            digest.update(json.dumps(doc, sort_keys=True).encode())
+            pipeline = trace["op"] == "classify_baire_function"
+            assert recheck(trace).checked == count_comparisons(doc) + pipeline, config
+    assert digest.hexdigest() == COMPARISONS_GOLDEN
+
+
 # --- every outcome, failures included --------------------------------------
 
 OUTCOMES, FAILURES = 894, 238
