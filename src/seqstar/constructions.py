@@ -264,17 +264,10 @@ def _separation(phi: SpaceFunction, xs: Iterable[Value], ys: Sequence[Value]) ->
     return least
 
 
-def _cmp(kind: str, a: Point, b: Point, bound: Dyadic) -> dict:
-    """A certificate comparing the distance between the values at a and b
-    with bound."""
-    return _cert(kind, point_to_json(a), point_to_json(b), str(bound))
-
-
-def _cert(kind: str, a: dict, b: dict, bound: str) -> dict:
-    """_cmp on points and bound already written as JSON.  Where a point
-    takes part in many pairs, its one JSON object is shared by all their
-    certificates, so that the trace holds one copy per point, not per pair."""
-    return {"kind": kind, "a": a, "b": b, "bound": bound}
+def _cmp(kind: str, a: Point | list[Point], b: Point | list[Point], bound: Dyadic) -> dict:
+    """A certificate comparing with bound the distance between the values
+    at a and b; a side that is a list stands for each of its points."""
+    return {"kind": kind, "a": a, "b": b, "bound": str(bound)}
 
 
 def _prefix_table(s: Seq, out_depth: int, out_branch: int) -> dict[Seq, Seq]:
@@ -285,8 +278,19 @@ def _prefix_table(s: Seq, out_depth: int, out_branch: int) -> dict[Seq, Seq]:
 def _made(op: str, params: dict, table: dict[Seq, Seq], certs: list[dict],
           depth: int, branch: int, **extra) -> PartialEmbedding:
     """The table on its (depth, branch) range with the trace of op: params,
-    the table, a valid_table certificate before certs, then extra fields."""
+    the table, the points, a valid_table certificate before certs, then
+    extra fields.  Each Point a certificate holds under a or b, alone or in
+    a list, is written once into the points list and named by its index."""
+    index: dict[Point, int] = {}
+    for cert in certs:
+        for key in ("a", "b"):
+            p = cert.get(key)
+            if p.__class__ is list:
+                cert[key] = [index.setdefault(q, len(index)) for q in p]
+            elif p is not None:
+                cert[key] = index.setdefault(p, len(index))
     trace = {"op": op, "params": params, "table": table_to_json(table),
+             "points": [point_to_json(p) for p in index],
              "certificates": [{"kind": "valid_table"}] + certs, **extra}
     return PartialEmbedding(table, depth, branch, trace)
 
@@ -477,8 +481,13 @@ def disjointify(
                     f"samples below {r} do not separate (constant region?)",
                     stage="disjointify")
         for m in range(24):
-            # a periodic point's prefix has the length asked for, or restrict raises
-            imgs = [p.restrict(len(r) + 1 + m, budget).seq for p in samples]
+            # a periodic point's prefix has the length asked for, or restrict
+            # raises past the depth budget, which this stage then ran out of
+            try:
+                imgs = [p.restrict(len(r) + 1 + m, budget).seq for p in samples]
+            except BudgetExceeded as e:
+                e.stage = "disjointify"
+                raise
             ok = all(
                 phi.value_distance(values[a], values[b])
                 > phi.cone_diameter(imgs[a]) + phi.cone_diameter(imgs[b])
@@ -486,9 +495,7 @@ def disjointify(
             )
             if ok:
                 for a, b in pairs:
-                    certs.append({"kind": "dist_gt_sum",
-                                  "a": point_to_json(samples[a]),
-                                  "b": point_to_json(samples[b]),
+                    certs.append({"kind": "dist_gt_sum", "a": samples[a], "b": samples[b],
                                   "na": list(imgs[a]), "nb": list(imgs[b])})
                 return imgs
         raise BudgetExceeded(f"separation never dominates diameters below {r}",
@@ -536,12 +543,9 @@ def limit_refine(
         delta = _separation(phi, (phi.evaluate(b) for b in baire), [phi.evaluate(a) for a in augs])
         if delta is not None:
             table = _prefix_table(s, out_depth, out_branch)
-            baire_json = [point_to_json(b) for b in baire]
-            augs_json = [point_to_json(a) for a in augs]
-            bound = str(delta)
-            certs = [_cert("value_dist_ge", b, a, bound) for b in baire_json for a in augs_json]
             return SeparatedClosure(s, delta), _made(
-                "limit_refine", params, table, certs, out_depth, out_branch,
+                "limit_refine", params, table, [_cmp("value_dist_ge", baire, augs, delta)],
+                out_depth, out_branch,
                 function=phi.spec, mode="SeparatedClosure", s=list(s), delta=str(delta))
     raise BudgetExceeded("neither continuity nor separation certified", stage="limit_refine")
 
@@ -584,9 +588,8 @@ def epsilon_discrete_or_ball(
 
         for n, u in enumerate(nodes_in_range(out_depth, out_branch)):
             table[u] = _find(fresh, table[u[:-1]] + (n,) if u else t, pool, steps)
-        imgs = [point_to_json(AugmentedPoint(img)) for img in table.values()]
-        bound = str(eps)
-        certs = [_cert("value_dist_ge", a, b, bound) for a, b in combinations(imgs, 2)]
+        imgs = [AugmentedPoint(img) for img in table.values()]
+        certs = [_cmp("value_dist_ge", a, imgs[i + 1:], eps) for i, a in enumerate(imgs[:-1])]
         return DiscreteInjection(eps), _made("epsilon_discrete_or_ball", params, table, certs,
                                              out_depth, out_branch, function=phi.spec,
                                              mode="DiscreteInjection")
@@ -670,8 +673,7 @@ def point_avoid(
         steps.tick()
         dists = [phi.value_distance(phi.evaluate(AugmentedPoint(s + u)), x) for u in words]
         if all(not d.is_zero() for d in dists):
-            certs = [{"kind": "avoid_value",
-                      "a": point_to_json(AugmentedPoint(s + u)),
+            certs = [{"kind": "avoid_value", "a": AugmentedPoint(s + u),
                       "x": value_to_json(x), "bound": str(d)}
                      for u, d in zip(words, dists)]
             table = _prefix_table(s, 2, 3)
@@ -704,8 +706,7 @@ def finite_avoid_or_converge(
                 [t], pool, steps, out_depth, out_branch)
         except (_SearchFailed, BudgetExceeded):
             continue
-        certs = [{"kind": "avoid_value", "op": "lt",
-                  "a": point_to_json(AugmentedPoint(img)),
+        certs = [{"kind": "avoid_value", "op": "lt", "a": AugmentedPoint(img),
                   "x": value_to_json(x), "bound": str(schedule(u))}
                  for u, img in table.items()]
         return ConvergesToMember(x), _made("finite_avoid_or_converge", params, table, certs,
@@ -720,8 +721,7 @@ def finite_avoid_or_converge(
         delta = _separation(phi, (phi.evaluate(AugmentedPoint(u + w)) for w in words), F)
         if delta is not None:
             table = _prefix_table(u, out_depth, out_branch)
-            certs = [{"kind": "avoid_value",
-                      "a": point_to_json(AugmentedPoint(u + w)),
+            certs = [{"kind": "avoid_value", "a": AugmentedPoint(u + w),
                       "x": value_to_json(x), "bound": str(delta)}
                      for w in words for x in F]
             return ClosureAvoidsF(delta, u), _made(
@@ -760,7 +760,7 @@ def discrete_refine(
     below_words = [w for w in pool if len(w) <= 1][:4]  # (), (0,), (1,), (2,)
     table = {}
     limits: list[Value] = []  # the value at each image so far
-    limit_points: list[dict] = []  # the JSON of AugmentedPoint(image), likewise
+    limit_points: list[Point] = []  # AugmentedPoint(image), likewise
     certs = []
 
     bound = None  # the least distance avoiding() found for the candidate it accepted
@@ -785,13 +785,11 @@ def discrete_refine(
     try:
         for u in nodes_in_range(out_depth, out_branch):
             img = _find(avoiding, table[u[:-1]] + u[-1:] if u else (), pool, steps)
-            bound_json = str(bound)
-            for w in below_words:
-                below = point_to_json(AugmentedPoint(img + w))
-                for m in limit_points:
-                    certs.append(_cert("avoid_pair", m, below, bound_json))
+            if limit_points:
+                certs.append(_cmp("avoid_pair", limit_points[:],
+                                  [AugmentedPoint(img + w) for w in below_words], bound))
             table[u] = img
-            limit_points.append(point_to_json(AugmentedPoint(img)))
+            limit_points.append(AugmentedPoint(img))
     except _SearchFailed:
         raise BudgetExceeded("pairwise avoidance not certified", stage="discrete_refine")
     certs.append({"kind": "meet_table"})

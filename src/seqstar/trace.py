@@ -1,9 +1,12 @@
 """Offline re-verification of construction traces.
 
 A trace names its oracles (registry names, possibly with precompose
-tables), lists the constructed table, and carries certificates.  Recheck
-rebuilds the oracles, re-runs every recorded query, and re-evaluates each
-certifying comparison in exact dyadic arithmetic.
+tables), lists the constructed table and, once each, the points its
+certificates compare, and carries certificates, which name points by their
+index in that list.  Recheck rebuilds the oracles, re-runs every recorded
+query, and re-evaluates each certifying comparison in exact dyadic
+arithmetic; a certificate that names a list of points on a side makes one
+comparison per pair.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ from .serialize import (
     ParseError,
     _seq,
     dyadic_from_json,
+    node_key,
     point_from_json,
     table_from_json,
     value_from_json,
@@ -71,6 +75,24 @@ class _Fields(dict):
     def dyadic(self, key: str) -> Dyadic:
         return self.read(key, dyadic_from_json)
 
+    def index(self, key: str, n: int) -> int:
+        """The field as an index into a points list of length n."""
+        i = self[key]
+        if i.__class__ is not int or not 0 <= i < n:
+            raise ParseError(f"{self.path}.{key} must be an index into the {n} points")
+        return i
+
+    def indices(self, key: str, n: int) -> list[int]:
+        """The field as a list of indices into a points list of length n;
+        a lone index is a list of one."""
+        raw = self[key]
+        if raw.__class__ is not list:
+            return [self.index(key, n)]
+        if not raw or any(i.__class__ is not int or not 0 <= i < n for i in raw):
+            raise ParseError(f"{self.path}.{key} must be a nonempty list of indices "
+                             f"into the {n} points")
+        return raw
+
 
 def _typed(kind: type, what: str) -> Callable[[Any], Any]:
     def parse(v):
@@ -86,19 +108,42 @@ def _table_range(table: dict[Seq, Seq]) -> tuple[int, int]:
     return depth, branch
 
 
-class _Memo:
-    """What the certificates of one stage share: phi's value at each point
-    and each bound parsed, each worked out once."""
+def _points(trace: dict, path: str) -> list[Point]:
+    """The trace's points list, each entry parsed."""
+    raw = trace.get("points", [])
+    if not isinstance(raw, list):
+        raise ParseError(f"{path}.points must be a list")
+    points = []
+    for j, obj in enumerate(raw):
+        try:
+            points.append(point_from_json(obj))
+        except ParseError as e:
+            raise ParseError(f"{path}.points[{j}]: {e}") from e
+    return points
 
-    def __init__(self, phi: SpaceFunction | None):
+
+class _Memo:
+    """What the certificates of one stage share: its points, phi's value at
+    each point and each bound parsed, each worked out once."""
+
+    def __init__(self, phi: SpaceFunction | None, points: list[Point]):
         self.phi = phi
-        self.values: dict[Point, Any] = {}
+        self.points = points
+        self.by_index: list[Any] = [None] * len(points)
+        self.by_point: dict[Point, Any] = {}
         self.bounds: dict[str, Dyadic] = {}
 
-    def value(self, p: Point) -> Any:
-        v = self.values.get(p)
+    def value(self, i: int) -> Any:
+        """phi's value at points[i]."""
+        v = self.by_index[i]
         if v is None:
-            v = self.values[p] = self.phi.evaluate(p)
+            v = self.by_index[i] = self.at(self.points[i])
+        return v
+
+    def at(self, p: Point) -> Any:
+        v = self.by_point.get(p)
+        if v is None:
+            v = self.by_point[p] = self.phi.evaluate(p)
         return v
 
     def dyadic(self, cert: _Fields, key: str) -> Dyadic:
@@ -111,8 +156,38 @@ class _Memo:
         return d
 
 
-def _check_cert(cert: dict, trace: dict, phi: SpaceFunction | None,
-                table: dict[Seq, Seq], memo: _Memo) -> str | None:
+# kind -> (whether distance d meets bound b, how a failure reads)
+_PAIRWISE = {
+    "value_dist_lt": (Dyadic.__lt__, "vs bound"),
+    "value_dist_le": (Dyadic.__le__, "vs bound"),
+    "value_dist_ge": (Dyadic.__ge__, "vs bound"),
+    "avoid_pair": (lambda d, b: not b.is_zero() and d >= b, "below positive bound"),
+}
+
+
+def _check_cert(cert: _Fields, trace: _Fields, phi: SpaceFunction | None,
+                table: dict[Seq, Seq], memo: _Memo) -> tuple[int, str | None]:
+    """The number of comparisons the certificate makes, one per pair of
+    points, and a failure message, or None when they all hold."""
+    kind = cert.get("kind")
+    if kind not in _PAIRWISE or phi is None:
+        return 1, _check_single(cert, trace, phi, table, memo)
+    n = len(memo.points)
+    a, b = cert.indices("a", n), cert.indices("b", n)
+    bound = memo.dyadic(cert, "bound")
+    holds, reads = _PAIRWISE[kind]
+    count, vb = len(a) * len(b), [memo.value(j) for j in b]
+    for i in a:
+        va = memo.value(i)
+        for j, v in zip(b, vb):
+            d = phi.value_distance(va, v)
+            if not holds(d, bound):
+                return count, f"{kind}: distance {d} {reads} {bound} at points {i}, {j}"
+    return count, None
+
+
+def _check_single(cert: _Fields, trace: _Fields, phi: SpaceFunction | None,
+                  table: dict[Seq, Seq], memo: _Memo) -> str | None:
     """Return a failure message, or None when the certificate holds."""
     kind = cert.get("kind")
     if kind == "valid_table":
@@ -139,19 +214,13 @@ def _check_cert(cert: dict, trace: dict, phi: SpaceFunction | None,
         return f"certificate {kind!r} needs a cone_diameter oracle, which {phi.name} lacks"
 
     def value_at(key: str):
-        return memo.value(cert.read(key, point_from_json))
+        return memo.value(cert.index(key, len(memo.points)))
 
     if kind == "diam_lt":
         node = cert.node("node")
         eps = memo.dyadic(cert, "eps")
         got = phi.cone_diameter(node)
         return None if got < eps else f"diam_lt: cone_diameter({node}) = {got} not < {eps}"
-    if kind in ("value_dist_lt", "value_dist_le", "value_dist_ge"):
-        d = phi.value_distance(value_at("a"), value_at("b"))
-        bound = memo.dyadic(cert, "bound")
-        ok = {"value_dist_lt": d < bound, "value_dist_le": d <= bound,
-              "value_dist_ge": d >= bound}[kind]
-        return None if ok else f"{kind}: distance {d} vs bound {bound}"
     if kind == "avoid_value":
         d = phi.value_distance(value_at("a"), cert.read("x", value_from_json))
         bound = memo.dyadic(cert, "bound")
@@ -159,12 +228,6 @@ def _check_cert(cert: dict, trace: dict, phi: SpaceFunction | None,
             return None if d < bound else f"avoid_value: distance {d} not < {bound}"
         if bound.is_zero() or d < bound:
             return f"avoid_value: distance {d} below positive bound {bound}"
-        return None
-    if kind == "avoid_pair":
-        d = phi.value_distance(value_at("a"), value_at("b"))
-        bound = memo.dyadic(cert, "bound")
-        if bound.is_zero() or d < bound:
-            return f"avoid_pair: distance {d} below positive bound {bound}"
         return None
     if kind == "dist_gt_sum":
         d = phi.value_distance(value_at("a"), value_at("b"))
@@ -176,7 +239,7 @@ def _check_cert(cert: dict, trace: dict, phi: SpaceFunction | None,
         if not isinstance(members, list):
             raise ParseError(f"{cert.path}.members must be a list of nodes")
         members = [_seq(m, f"{cert.path}.members") for m in members]
-        vals = [memo.value(AugmentedPoint(m)) for m in members]
+        vals = [memo.at(AugmentedPoint(m)) for m in members]
         for (ma, va), (mb, vb) in combinations(zip(members, vals), 2):
             d = phi.value_distance(va, vb)
             if not d < eps:
@@ -235,6 +298,51 @@ def _classify_problem(trace: _Fields, stages: list[dict], table: dict[Seq, Seq])
     return None
 
 
+def _verdict_problems(trace: _Fields, table: dict[Seq, Seq], memo: _Memo) -> list[str]:
+    """How the verdicts of a children_stabilize trace fail its table.  Each
+    node with children has one verdict, about the values at the augmented
+    points of its children's images c_i.  Convergent: c_i is within 2^-i
+    of the value at the augmented point of the node's image r followed by
+    selector_budget - 1.  Discrete:eps: any two c_i are at least eps > 0
+    apart."""
+    verdicts = _Fields(trace.read("verdicts", _typed(dict, "an object")), f"{trace.path}.verdicts")
+    params = _Fields(trace["params"], f"{trace.path}.params")
+    last = params.read("selector_budget", _typed(int, "an integer")) - 1
+    children: dict[Seq, list[Seq]] = {}
+    for t in sorted(table):
+        if t:
+            children.setdefault(t[:-1], []).append(t)
+    want = sorted(node_key(t) for t in children)
+    if sorted(verdicts) != want:
+        return [f"children_stabilize: verdicts at {sorted(verdicts)}, not at the nodes "
+                f"with children {want}"]
+    phi = memo.phi
+    if phi is None:
+        return ["children_stabilize: its verdicts need a function but the trace names none"]
+    for t, kids in children.items():
+        verdict = verdicts[node_key(t)]
+        values = [(c[-1], memo.at(AugmentedPoint(table[c]))) for c in kids]
+        if verdict == "Convergent":
+            limit = memo.at(AugmentedPoint(table[t] + (last,)))
+            for i, v in values:
+                d = phi.value_distance(v, limit)
+                if not d <= Dyadic.pow2(-i):
+                    return [f"children_stabilize: Convergent at {t}, but child {i} is at "
+                            f"distance {d} from the limit, above {Dyadic.pow2(-i)}"]
+        elif isinstance(verdict, str) and verdict.startswith("Discrete:"):
+            eps = verdicts.read(node_key(t), lambda v: dyadic_from_json(v.partition(":")[2]))
+            if eps.is_zero():
+                return [f"children_stabilize: Discrete at {t} with eps 0"]
+            for (i, v), (j, w) in combinations(values, 2):
+                d = phi.value_distance(v, w)
+                if not d >= eps:
+                    return [f"children_stabilize: {verdict} at {t}, but children {i} and "
+                            f"{j} are at distance {d}"]
+        else:
+            return [f"children_stabilize: unknown verdict {verdict!r} at {t}"]
+    return []
+
+
 def recheck(trace: dict) -> RecheckReport:
     """Re-verify a construction trace from scratch; recurses into stages.
     A malformed field raises ParseError naming its path, e.g.
@@ -253,13 +361,16 @@ def _recheck(trace: dict, path: str) -> RecheckReport:
     except ParseError as e:
         return RecheckReport(False, 0, [f"cannot rebuild function: {e}"])
     table = _Fields(table_from_json(trace.get("table", {})), f"{path}.table")
-    fields, memo = _Fields(trace, path), _Memo(phi)
-    report = RecheckReport(True, len(trace["certificates"]))
+    fields, memo = _Fields(trace, path), _Memo(phi, _points(trace, path))
+    report = RecheckReport(True, 0)
     for i, cert in enumerate(trace["certificates"]):
-        msg = _check_cert(_Fields(cert, f"{path}.certificates[{i}]"), fields, phi, table, memo)
+        n, msg = _check_cert(_Fields(cert, f"{path}.certificates[{i}]"), fields, phi, table, memo)
+        report.checked += n
         if msg is not None:
             report.failures.append(msg)
     report.failures += _contract_problems(trace, stages)
+    if trace.get("op") == "children_stabilize":
+        report.failures += _verdict_problems(fields, table, memo)
     report.ok = not report.failures
     for i, stage in enumerate(stages):
         report.merge(_recheck(stage, f"{path}.stages[{i}]"))

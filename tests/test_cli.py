@@ -159,13 +159,14 @@ def test_embed_actions_on_a_table_that_is_not_an_embedding(capsys, action):
      '"family":"length-at-least"}', "certificates[0].family_level"),
     ('{"certificates":[{"kind":"in_set","node":[0],"oracle":["all"],"member":true}]}',
      "certificates[0].oracle"),
-    ('{"certificates":[{"kind":"value_dist_lt","a":5,"b":{"kind":"finite","seq":[]},'
-     '"bound":"1"}],"function":{"name":"entry-sum"}}', "certificates[0].a"),
-    ('{"certificates":[{"kind":"avoid_pair","a":{"kind":"finite","seq":[]},'
-     '"b":{"kind":"periodic","period":[]},"bound":"1"}],"function":{"name":"entry-sum"}}',
-     "certificates[0].b"),
-    ('{"certificates":[{"kind":"avoid_value","a":{"kind":"finite","seq":[]},"x":{},'
-     '"bound":"1"}],"function":{"name":"entry-sum"}}', "certificates[0].x"),
+    ('{"points":[{"kind":"finite","seq":[]}],"certificates":[{"kind":"value_dist_lt",'
+     '"a":{"kind":"finite","seq":[]},"b":0,"bound":"1"}],"function":{"name":"entry-sum"}}',
+     "certificates[0].a"),
+    ('{"points":[{"kind":"finite","seq":[]},{"kind":"periodic","period":[]}],'
+     '"certificates":[{"kind":"avoid_pair","a":0,"b":1,"bound":"1"}],'
+     '"function":{"name":"entry-sum"}}', "trace.points[1]"),
+    ('{"points":[{"kind":"finite","seq":[]}],"certificates":[{"kind":"avoid_value","a":0,'
+     '"x":{},"bound":"1"}],"function":{"name":"entry-sum"}}', "certificates[0].x"),
 ], ids=["bad-dyadic", "table-missing-node", "node-not-a-list", "certificates-not-a-list",
         "stages-not-a-list", "stage-not-an-object", "family-level-not-an-integer",
         "oracle-not-a-name", "point-a-not-an-object", "point-b-empty-period",
@@ -197,11 +198,11 @@ def test_unknown_registry_name(capsys):
 
 @pytest.mark.parametrize("kind, fields", [
     ("diam_lt", '"node":[0],"eps":"1"'),
-    ("dist_gt_sum", '"a":{"kind":"finite","seq":[]},"b":{"kind":"finite","seq":[1]},'
-                    '"na":[],"nb":[1]'),
+    ("dist_gt_sum", '"a":0,"b":1,"na":[],"nb":[1]'),
 ], ids=["diam_lt", "dist_gt_sum"])
 def test_recheck_fails_a_certificate_whose_function_has_no_cone_diameter(capsys, kind, fields):
-    trace = f'{{"certificates":[{{"kind":"{kind}",{fields}}}],"function":{{"name":"entry-sum"}}}}'
+    trace = (f'{{"points":[{{"kind":"finite","seq":[]}},{{"kind":"finite","seq":[1]}}],'
+             f'"certificates":[{{"kind":"{kind}",{fields}}}],"function":{{"name":"entry-sum"}}}}')
     got = run_json(capsys, "construct", "recheck", "--trace", trace)
     assert got["ok"] is False and got["checked"] == 1
     assert "cone_diameter" in got["failures"][0]
@@ -211,7 +212,7 @@ def test_recheck_fails_a_certificate_whose_function_has_no_cone_diameter(capsys,
     ["construct", "avoid", "--fn", "baire-identity"],
     ["construct", "finite-avoid", "--fn", "compactify-identity"],
     ["construct", "recheck", "--trace",
-     '{"certificates":[{"kind":"avoid_value","a":{"kind":"finite","seq":[]},'
+     '{"points":[{"kind":"finite","seq":[]}],"certificates":[{"kind":"avoid_value","a":0,'
      '"x":{"kind":"point","point":{"kind":"finite","seq":[]}},"bound":"1"}],'
      '"function":{"name":"entry-sum"}}'],
 ], ids=["avoid-point-valued", "finite-avoid-point-valued", "recheck-point-against-dyadic"])

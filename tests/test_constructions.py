@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -47,7 +48,7 @@ from seqstar.sequences import (
     DomainMismatch,
     PeriodicPoint,
 )
-from seqstar.serialize import point_from_json
+from seqstar.serialize import ParseError, point_from_json
 from seqstar.trace import recheck
 
 BUDGET = DepthBudget(depth=48, branch=32, steps=2_000_000)
@@ -222,21 +223,94 @@ def test_discrete_refine_modes():
     assert_good(pe)
 
 
-@pytest.mark.parametrize("build, mode_type", [
-    (lambda: limit_refine(space_function("zero-one-split"), SCHED, 2, 3, BUDGET), SeparatedClosure),
-    (lambda: epsilon_discrete_or_ball(space_function("entry-sum"), Dyadic(1, 0), (), 2, 3, BUDGET),
-     DiscreteInjection),
-    (lambda: discrete_refine(space_function("enum-index"), SCHED, 2, 3, BUDGET), PairwiseAvoidance),
-], ids=["limit_refine", "epsilon_discrete_or_ball", "discrete_refine"])
-def test_pairwise_certificates_share_one_json_object_per_point(build, mode_type):
-    # The certificate lists of these modes grow with the square of the
-    # points they compare.  Each point's JSON object is made once and shared
-    # by its pairs, so there are several references to every object.
+PAIRWISE = {
+    "limit_refine": (lambda: limit_refine(space_function("zero-one-split"), SCHED, 2, 3, BUDGET),
+                     SeparatedClosure),
+    "epsilon_discrete_or_ball": (lambda: epsilon_discrete_or_ball(
+        space_function("entry-sum"), Dyadic(1, 0), (), 2, 3, BUDGET), DiscreteInjection),
+    "discrete_refine": (lambda: discrete_refine(space_function("enum-index"), SCHED, 2, 3, BUDGET),
+                        PairwiseAvoidance),
+}
+
+
+def pairwise_trace(op):
+    build, mode_type = PAIRWISE[op]
     mode, pe = build()
     assert isinstance(mode, mode_type)
-    points = [c[k] for c in pe.trace["certificates"] for k in ("a", "b") if k in c]
-    assert 4 * len({id(p) for p in points}) < len(points)
-    assert_good(pe)
+    return json.loads(json.dumps(pe.trace))
+
+
+def grouped(trace):
+    """The first certificate that names a list of points."""
+    return next(c for c in trace["certificates"] if isinstance(c.get("b"), list))
+
+
+def _b_is_a(trace):
+    cert = grouped(trace)
+    cert["b"] = cert["a"]
+
+
+def _bound_above_least(trace):
+    # Each of these bounds is the least distance over its certificate's pairs.
+    cert = grouped(trace)
+    cert["bound"] = str(Dyadic.parse(cert["bound"]) + Dyadic.pow2(-40))
+
+
+def _point_moved(trace):
+    # The last point of the first list certificate's b side onto the last of its a side.
+    cert = grouped(trace)
+    a = cert["a"][-1] if isinstance(cert["a"], list) else cert["a"]
+    trace["points"][cert["b"][-1]] = trace["points"][a]
+
+
+def _index(value):
+    def tamper(trace):
+        grouped(trace)["a"] = value(len(trace["points"]))
+    return tamper
+
+
+@pytest.mark.parametrize("op, tamper, failure", [
+    ("discrete_refine", _b_is_a, "avoid_pair: distance 0 below positive bound"),
+    ("discrete_refine", _bound_above_least, "avoid_pair: distance"),
+    ("limit_refine", _bound_above_least, "value_dist_ge: distance"),
+    ("discrete_refine", _point_moved, "avoid_pair: distance 0 below positive bound"),
+    ("epsilon_discrete_or_ball", _point_moved, "value_dist_ge: distance 0 vs bound 1"),
+    ("limit_refine", _point_moved, "value_dist_ge: distance 0 vs bound"),
+    ("epsilon_discrete_or_ball", _index(lambda n: n), "certificates[1].a"),
+    ("epsilon_discrete_or_ball", _index(lambda n: -1), "certificates[1].a"),
+    ("epsilon_discrete_or_ball", _index(lambda n: "0"), "certificates[1].a"),
+    ("epsilon_discrete_or_ball", _index(lambda n: True), "certificates[1].a"),
+    ("discrete_refine", _index(lambda n: [0, n]), "certificates[1].a"),
+    ("discrete_refine", _index(lambda n: [0.0]), "certificates[1].a"),
+    ("discrete_refine", _index(lambda n: []), "certificates[1].a"),
+], ids=["b-is-a", "avoid-bound-above-least", "limit-bound-above-least", "avoid-point-moved",
+        "eps-point-moved", "limit-point-moved", "index-out-of-range", "index-negative",
+        "index-a-string", "index-a-bool", "list-index-out-of-range", "list-index-a-float",
+        "list-empty"])
+def test_recheck_catches_a_tampered_pairwise_certificate(op, tamper, failure):
+    trace = pairwise_trace(op)
+    assert recheck(copy.deepcopy(trace)).ok
+    tamper(trace)
+    if failure.startswith("certificates"):
+        with pytest.raises(ParseError, match=re.escape(f"trace.{failure} must be")):
+            recheck(trace)
+        return
+    report = recheck(trace)
+    assert not report.ok and report.failures[0].startswith(failure), report.failures
+
+
+@pytest.mark.parametrize("op", list(PAIRWISE))
+def test_pairwise_certificates_name_each_point_once(op):
+    # The certificates of these modes compare lists of points, pair by pair.
+    trace = pairwise_trace(op)
+    points = [json.dumps(p, sort_keys=True) for p in trace["points"]]
+    assert len(set(points)) == len(points)
+    named = set()
+    for cert in trace["certificates"]:
+        for key in ("a", "b"):
+            named.update(cert[key] if isinstance(cert.get(key), list) else [cert.get(key)])
+    assert named - {None} == set(range(len(points)))
+    assert sum(isinstance(c.get("b"), list) for c in trace["certificates"]) >= 1
 
 
 def test_disjoint_refine_good_and_bad_witness():
@@ -263,6 +337,11 @@ LATE_ONES = _dyadic_function("late-ones", lambda p: Dyadic(int(p.seq[-1] >= 41))
 # samples are apart, never by more than two diameters.
 SPREAD = _dyadic_function("spread", lambda p: Dyadic(min(p.restrict(1).seq[0], 2), 1),
                           lambda t: Dyadic.one())
+# The first entry, with cone diameters pinned at 1: siblings 0 and 1 are
+# never more than two diameters apart, so the search deepens until the
+# depth budget stops it.
+FIRST_ENTRY = _dyadic_function("first-entry", lambda p: Dyadic(p.restrict(1).seq[0]),
+                               lambda t: Dyadic.one())
 # 1 at augmented points longer than 3, else 0: no depth-4 image is near its
 # infinite-part value, and every node of length <= 2 has a zero-valued
 # augmented point, which the infinite-part values reach at distance 0.
@@ -287,6 +366,8 @@ TAIL_GLUED = SpaceFunction(
      r"neither verdict certified at \(\)"),
     (lambda: disjointify(SPREAD, 1, 3, BUDGET), "disjointify",
      r"separation never dominates diameters below \(\)"),
+    (lambda: disjointify(FIRST_ENTRY, 1, 3, DepthBudget(depth=3)), "disjointify",
+     "prefix query 4 exceeds depth budget 3"),
     (lambda: limit_refine(LONG_AUGMENTED, SCHED, 4, 2, BUDGET), "limit_refine",
      "neither continuity nor separation certified"),
     (lambda: shrink_or_discrete(TAIL_GLUED, SCHED, 2, 2, BUDGET), "shrink_or_discrete",
@@ -297,7 +378,8 @@ TAIL_GLUED = SpaceFunction(
     (lambda: disjoint_refine(WIDE, PeriodicPoint((), (0,)), Dyadic(1), DepthBudget(depth=4)),
      "disjoint_refine", "no witness prefix with small enough image diameter"),
 ], ids=["stabilize-selector", "stabilize-no-verdict", "disjointify-never-dominates",
-        "limit-neither", "shrink-cone-diameter", "finite-avoid-neither", "disjoint-no-prefix"])
+        "disjointify-depth-budget", "limit-neither", "shrink-cone-diameter",
+        "finite-avoid-neither", "disjoint-no-prefix"])
 def test_a_search_that_runs_out_names_its_stage(build, stage, message):
     with pytest.raises(BudgetExceeded, match=f"^{message}$") as info:
         build()
@@ -357,6 +439,25 @@ def _add_in_set(trace):
     trace["certificates"].append({"kind": "in_set", "oracle": "all", "node": [], "member": True})
 
 
+def _all_convergent(trace):
+    verdicts = trace["stages"][1]["verdicts"]
+    for key in verdicts:
+        verdicts[key] = "Convergent"
+    trace["shape"] = "EmbedsIntoBaireStar"
+
+
+def _verdict_dropped(trace):
+    del trace["stages"][1]["verdicts"]["2"]
+
+
+def _eps_raised(trace):
+    trace["stages"][1]["verdicts"][""] = "Discrete:1"
+
+
+def _eps_zero(trace):
+    trace["stages"][1]["verdicts"]["0"] = "Discrete:0"
+
+
 def _stages_under_a_stageless_op(trace):
     trace["stages"][0]["stages"] = [trace["stages"][1]]
 
@@ -377,9 +478,17 @@ def _stages_under_a_stageless_op(trace):
     (_add_in_set, "classify_baire_function emits no certificate of kind ['in_set']", 44),
     (_stages_under_a_stageless_op, "diameter_shrink rests on no stages, but the trace has 1",
      None),
+    (_all_convergent, "children_stabilize: Convergent at (), but child 2 is at distance 1/2 "
+     "from the limit, above 2^-2", 43),
+    (_verdict_dropped, "children_stabilize: verdicts at ['', '0', '1'], not at the nodes with "
+     "children ['', '0', '1', '2']", 43),
+    (_eps_raised, "children_stabilize: Discrete:1 at (), but children 0 and 1 are at distance "
+     "1/2", 43),
+    (_eps_zero, "children_stabilize: Discrete at (0,) with eps 0", 43),
 ], ids=["no-stages", "table-prefixed-9", "star-shape", "constant-shape", "stage-order",
         "stage-function", "op-disjointify", "op-dropped", "op-unknown", "foreign-kind",
-        "stages-under-shrink"])
+        "stages-under-shrink", "verdicts-all-convergent", "verdict-dropped", "verdict-eps-raised",
+        "verdict-eps-zero"])
 def test_recheck_ties_a_classify_shape_to_its_pipeline(tamper, failure, checked):
     _, pe = classify_baire_function(space_function("baire-identity"), budget=BUDGET)
     trace = json.loads(json.dumps(pe.trace))
@@ -410,8 +519,8 @@ def test_recheck_detects_tampered_table():
 
 def test_recheck_fails_an_unknown_certificate_kind():
     # value_dist_gt is no certificate kind, though 1 > 0 holds for entry-sum.
-    trace = {"certificates": [{"kind": "value_dist_gt", "a": {"kind": "finite", "seq": []},
-                               "b": {"kind": "finite", "seq": [1]}, "bound": "0"}],
+    trace = {"points": [{"kind": "finite", "seq": []}, {"kind": "finite", "seq": [1]}],
+             "certificates": [{"kind": "value_dist_gt", "a": 0, "b": 1, "bound": "0"}],
              "function": {"name": "entry-sum"}}
     report = recheck(trace)
     assert not report.ok and report.checked == 1
@@ -516,7 +625,7 @@ def test_recheck_evaluates_each_point_once_per_stage_and_still_catches_tampering
 
     monkeypatch.setattr(phi, "evaluate", counting)
     assert recheck(doc).ok
-    points = {point_from_json(c[k]) for c in doc["certificates"] for k in ("a", "b") if k in c}
+    points = {point_from_json(p) for p in doc["points"]}
     assert set(calls) == points and set(calls.values()) == {1}
     # A certificate whose two points are one point must still fail.
     cert = next(c for c in doc["certificates"] if c["kind"] == "avoid_pair")

@@ -7,6 +7,10 @@ sorted keys, concatenated in CONFIGS order) with the value the traces had
 when this test was written.  A change to a search, a certificate or the
 order of either shows here as a changed hash.
 
+A second sha256 covers what those traces certify, not how they write it:
+each certificate written out as one comparison per pair of points, in a
+canonical order.  A change to the trace format alone leaves it as it is.
+
 Two wider pins follow.  One sha256 covers the outcome of every op on every
 registry oracle of its kind at depth 1-3 and branch 2-3, failures included,
 so a change in how a search counts its steps shows too.  And the registry
@@ -14,6 +18,7 @@ oracle calls of the 650 benchmark builds are counted per op and held to the
 counts they had when this test was written, so that a search which loses an
 early exit fails here, not only in the benchmark.
 """
+import functools
 import hashlib
 import json
 import sys
@@ -35,20 +40,26 @@ finally:
 ALL_PAIRS = [(d, b) for d in (1, 2, 3) for b in (2, 3)]
 
 GOLDEN = {
-    "ramsey": "fb505605f727c8785800528eb176632a294b7617dc1b79837230d53ace15a35b",
-    "category": "6244d7c3343e7ed8c4b3e1b84ccf906ecfb40a8e071b42a4127f000e16e19f01",
-    "continuity": "576e0de394d3e9542f872b19033d11adbb38dd2a01201de3229a75bbe9aaf726",
-    "shrink": "bb49a1c9a32e523ff4fa5bd433520ba904a86c5bbc1b863ff2d5e59e53542351",
-    "stabilize": "4720c9d0e3626a50fa4148071ce28f4fd9332280abc98724ca5bf2d6ce13dd44",
-    "disjointify": "ffaeb30d6d0053a30138d712800fbef0bebd4d7f4e331c1da954f63d5f02e9d8",
-    "limit": "ee2b4b6c015289b47c801682a1d907b77d49f3af212b092391dd824c03c6ee01",
-    "eps-split": "e53e3ba532231a01533140400be2077cf4a2bf27dfd632fae7e5230cffbbb512",
-    "shrink-or-discrete": "3bb8b8f018b0368eac2bd8412a84f6825069b76448c1905dc8c1c73057616e8e",
-    "avoid": "b3857303125689219bb8222366aac62973d59043dccf84340829f1d02319e30e",
-    "finite-avoid": "591b3a62189eaf96be67f181c99426c022349035eac14bf4251517b2375abcd2",
-    "discrete-refine": "35956525f56016c7c872c7a358f1e95d02d6cd6e4a99100baa4eeaa921907321",
-    "classify": "d1ef7ec3519eed603409486f1ab6794f938ad4e091178dae55a2ad997083f1d3",
+    "ramsey": "79f9c699c16a80c408f7ce55858f249a2cbc47355763239faed8dd267bb11681",
+    "category": "bbd3c86b1aa493aeee6db1cd852345c4ee13d86c5c1049f25509deeb00a805d3",
+    "continuity": "691f1f39004f7cfa9d756214899ea74491ac57f28a12a6a1eab9ff1ce1d4eae8",
+    "shrink": "28b7e07708ea0206d5f201f84b6da777c920a8782adca6b841b1d91d942cce86",
+    "stabilize": "417427381f54761237e1e86476c50b3a75a2bbb7e971f7bc1fa80d8fc1b4f737",
+    "disjointify": "e35f1a61c1a49121b0602f08856ca897c232334f110ff88282947a56ebe28e02",
+    "limit": "f47c2f068a243f7a12af18ada11789cb5ac4885a26a85192edd612f3679f297a",
+    "eps-split": "48800c9d6c78ec207be7117ca78dd76325b75306eb9336273de075379f28061d",
+    "shrink-or-discrete": "02c5cef4be1753d677ab079f92854b515a06cd5e06db9d06b16dc72c05d6c44e",
+    "avoid": "9c332041dfef3e760f67414f2972429dc515992993e2aa7d10050865a0f6d914",
+    "finite-avoid": "ba9aced8ae8b0a493bc7c74ef33bd35a12b3506bd93f90d67ab8e18e60bfcbf9",
+    "discrete-refine": "63dca514442cec9d3735cfb4eb21cd8afdd0ef6562649573c74a88e4720759d2",
+    "classify": "cd77dce027ee00890ccb9338d668896705dcb8b4d7750c4965046e005415a32a",
 }
+
+
+@functools.lru_cache(maxsize=None)
+def trace_text(config):
+    """The JSON of a configuration's trace, with sorted keys."""
+    return json.dumps(construct_recheck.build(*config).trace, sort_keys=True)
 
 
 def configs(op):
@@ -66,7 +77,7 @@ def test_golden_covers_every_op_and_650_configurations():
 def test_traces_match_the_golden_hash_and_recheck_ok(op):
     digest = hashlib.sha256()
     for config in configs(op):
-        text = json.dumps(construct_recheck.build(*config).trace, sort_keys=True)
+        text = trace_text(config)
         digest.update(text.encode())
         report = recheck(json.loads(text))
         assert report.ok and not report.failures, (config, report.failures[:3])
@@ -114,7 +125,7 @@ def test_every_trace_makes_the_pinned_comparisons_and_counts_each_one():
     digest = hashlib.sha256()
     for op in GOLDEN:
         for config in configs(op):
-            trace = json.loads(json.dumps(construct_recheck.build(*config).trace))
+            trace = json.loads(trace_text(config))
             doc = expanded(trace)
             digest.update(json.dumps(doc, sort_keys=True).encode())
             pipeline = trace["op"] == "classify_baire_function"
@@ -122,10 +133,36 @@ def test_every_trace_makes_the_pinned_comparisons_and_counts_each_one():
     assert digest.hexdigest() == COMPARISONS_GOLDEN
 
 
+def stages_of(trace):
+    yield trace
+    for stage in trace.get("stages", []):
+        yield from stages_of(stage)
+
+
+def test_every_trace_writes_each_point_once_and_none_is_large():
+    largest = 0
+    for op in GOLDEN:
+        for config in configs(op):
+            text = trace_text(config)
+            largest = max(largest, len(text))
+            for trace in stages_of(json.loads(text)):
+                points = [json.dumps(p, sort_keys=True) for p in trace["points"]]
+                assert len(set(points)) == len(points), config
+                named = set()
+                for cert in trace["certificates"]:
+                    for key in ("a", "b"):
+                        i = cert.get(key, [])
+                        named.update(i if isinstance(i, list) else [i])
+                assert named == set(range(len(points))), config
+    assert largest <= 20_000
+
+
 # --- every outcome, failures included --------------------------------------
 
 OUTCOMES, FAILURES = 894, 238
-OUTCOMES_GOLDEN = "8089749239692ac619f3840cb30d5e6b9ae6ce1f11097c297339b6a3f729fc80"
+# The failure strings alone, which a change to the trace format leaves as they are.
+FAILURES_GOLDEN = "84415f42b98a3380a1ede6d553065696ca49a0ce8c93e8a2f53b1422168d1e0f"
+OUTCOMES_GOLDEN = "26071b50f2aa75e1bfc65eb9a4bf0c9d8ded9f15d3e2ad45c363a798aac73681"
 
 
 def every_config():
@@ -139,7 +176,7 @@ def every_config():
 
 
 def test_every_outcome_matches_the_golden_hash():
-    digest = hashlib.sha256()
+    digest, failures = hashlib.sha256(), hashlib.sha256()
     count = failed = 0
     for config in every_config():
         count += 1
@@ -148,8 +185,10 @@ def test_every_outcome_matches_the_golden_hash():
         except (BudgetExceeded, DomainMismatch) as e:
             failed += 1
             text = f"{type(e).__name__}|{getattr(e, 'stage', None)}|{e}"
+            failures.update(text.encode())
         digest.update(text.encode())
     assert (count, failed) == (OUTCOMES, FAILURES)
+    assert failures.hexdigest() == FAILURES_GOLDEN
     assert digest.hexdigest() == OUTCOMES_GOLDEN
 
 

@@ -138,9 +138,9 @@ def test_construct_classify_prints_the_same_bytes_as_before():
     out = subprocess.run([sys.executable, "-m", "seqstar.cli", "construct", "classify",
                           "--fn", "compactify-identity"], env=ENV, capture_output=True,
                          check=True).stdout
-    assert len(out) == 6316
+    assert len(out) == 5449
     assert hashlib.sha256(out).hexdigest() == \
-        "694e73f7b1dcfccf1533e929f502a0e35c513065d18ba871c0c87b925c88a223"
+        "905f89eed3efaf42624430bdf1c4f8634adaa942a6bffb594cb6c7f4093104f1"
 
 
 # --- the op table against the parser and the benchmark's lists -----------
