@@ -129,21 +129,13 @@ class _Memo:
     def __init__(self, phi: SpaceFunction | None, points: list[Point]):
         self.phi = phi
         self.points = points
-        self.by_index: list[Any] = [None] * len(points)
-        self.by_point: dict[Point, Any] = {}
+        self.values: dict[Point, Any] = {}
         self.bounds: dict[str, Dyadic] = {}
 
-    def value(self, i: int) -> Any:
-        """phi's value at points[i]."""
-        v = self.by_index[i]
+    def value(self, p: Point) -> Any:
+        v = self.values.get(p)
         if v is None:
-            v = self.by_index[i] = self.at(self.points[i])
-        return v
-
-    def at(self, p: Point) -> Any:
-        v = self.by_point.get(p)
-        if v is None:
-            v = self.by_point[p] = self.phi.evaluate(p)
+            v = self.values[p] = self.phi.evaluate(p)
         return v
 
     def dyadic(self, cert: _Fields, key: str) -> Dyadic:
@@ -172,13 +164,13 @@ def _check_cert(cert: _Fields, trace: _Fields, phi: SpaceFunction | None,
     kind = cert.get("kind")
     if kind not in _PAIRWISE or phi is None:
         return 1, _check_single(cert, trace, phi, table, memo)
-    n = len(memo.points)
-    a, b = cert.indices("a", n), cert.indices("b", n)
+    points = memo.points
+    a, b = cert.indices("a", len(points)), cert.indices("b", len(points))
     bound = memo.dyadic(cert, "bound")
     holds, reads = _PAIRWISE[kind]
-    count, vb = len(a) * len(b), [memo.value(j) for j in b]
+    count, vb = len(a) * len(b), [memo.value(points[j]) for j in b]
     for i in a:
-        va = memo.value(i)
+        va = memo.value(points[i])
         for j, v in zip(b, vb):
             d = phi.value_distance(va, v)
             if not holds(d, bound):
@@ -214,7 +206,7 @@ def _check_single(cert: _Fields, trace: _Fields, phi: SpaceFunction | None,
         return f"certificate {kind!r} needs a cone_diameter oracle, which {phi.name} lacks"
 
     def value_at(key: str):
-        return memo.value(cert.index(key, len(memo.points)))
+        return memo.value(memo.points[cert.index(key, len(memo.points))])
 
     if kind == "diam_lt":
         node = cert.node("node")
@@ -239,7 +231,7 @@ def _check_single(cert: _Fields, trace: _Fields, phi: SpaceFunction | None,
         if not isinstance(members, list):
             raise ParseError(f"{cert.path}.members must be a list of nodes")
         members = [_seq(m, f"{cert.path}.members") for m in members]
-        vals = [memo.at(AugmentedPoint(m)) for m in members]
+        vals = [memo.value(AugmentedPoint(m)) for m in members]
         for (ma, va), (mb, vb) in combinations(zip(members, vals), 2):
             d = phi.value_distance(va, vb)
             if not d < eps:
@@ -321,9 +313,9 @@ def _verdict_problems(trace: _Fields, table: dict[Seq, Seq], memo: _Memo) -> lis
         return ["children_stabilize: its verdicts need a function but the trace names none"]
     for t, kids in children.items():
         verdict = verdicts[node_key(t)]
-        values = [(c[-1], memo.at(AugmentedPoint(table[c]))) for c in kids]
+        values = [(c[-1], memo.value(AugmentedPoint(table[c]))) for c in kids]
         if verdict == "Convergent":
-            limit = memo.at(AugmentedPoint(table[t] + (last,)))
+            limit = memo.value(AugmentedPoint(table[t] + (last,)))
             for i, v in values:
                 d = phi.value_distance(v, limit)
                 if not d <= Dyadic.pow2(-i):
