@@ -145,6 +145,15 @@ def test_singleton_equals_small_ball():
         assert ball_member(p, eps, p, SCHED)
 
 
+def test_ball_member_on_a_bounded_distance():
+    # Two lazy points agreeing to depth 6: the distance is at most 2^-12.
+    ones = InfinitePoint(lambda i: (1,) * i)
+    also_ones = InfinitePoint(lambda i: (1,) * i)
+    budget = DepthBudget(depth=6, steps=50)
+    assert ball_member(ones, Dyadic(1, 11), also_ones, budget=budget) is True
+    assert ball_member(ones, Dyadic(1, 12), also_ones, budget=budget) == Undetermined(6)
+
+
 def test_exhaustive_ultrametric_small():
     pts = small_points(2, 2)
     table = {}

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from seqstar.metric import Dyadic, weight_schedule
-from seqstar.sequences import AugmentedPoint, FinitePoint, PeriodicPoint
+from seqstar.sequences import (
+    AugmentedPoint,
+    BudgetExceeded,
+    DepthBudget,
+    FinitePoint,
+    InfinitePoint,
+    PeriodicPoint,
+)
 from seqstar.topology import (
     Cone,
     ConeMinus,
@@ -41,6 +48,15 @@ def test_neighborhood_examples():
     assert n == Cone((0, 0, 0))
     n = neighborhood_of(AugmentedPoint(()), Dyadic(1, 2), sched)
     assert n == ConeMinus((), 2)
+
+
+@pytest.mark.parametrize("p, budget", [
+    (AugmentedPoint(()), DepthBudget(branch=3)),  # child cones up to 3 weigh at most 4
+    (InfinitePoint(lambda i: (0,) * i), DepthBudget(depth=5)),  # prefixes to depth 5 weigh at most 5
+], ids=["augmented", "lazy"])
+def test_neighborhood_beyond_the_budget_raises(p, budget):
+    with pytest.raises(BudgetExceeded, match="no small enough basic set"):
+        neighborhood_of(p, Dyadic(1, 6), budget=budget)
 
 
 def test_cone_partition_law():
