@@ -16,6 +16,7 @@ from . import (catalog as cat, embeddings as emb, metric, registry, sequences as
                serialize as ser, topology as top, trace)
 
 EXIT_PIPE, EXIT_PARSE, EXIT_DOMAIN, EXIT_BUDGET = 1, 2, 3, 4
+MAX_RANGE_NODES = 1024  # the most nodes a --depth/--branch table range may hold
 
 
 def _emit(doc: dict) -> int:
@@ -76,9 +77,27 @@ def _cmd_descent(args) -> int:
     return _emit({"point": ser.point_to_json(p)})
 
 
+def _table_range(args) -> tuple[int, int]:
+    """--depth and --branch, once their range is known to hold at most
+    MAX_RANGE_NODES nodes; counted level by level, stopping past the limit."""
+    nodes, level = 0, 1
+    for _ in range(args.depth + 1):
+        nodes, level = nodes + level, level * args.branch
+        if nodes > MAX_RANGE_NODES:
+            raise ser.ParseError(f"--depth {args.depth} --branch {args.branch} spans more "
+                                 f"than {MAX_RANGE_NODES} nodes")
+    return args.depth, args.branch
+
+
 def _cmd_embed(args) -> int:
     pi = ser.embedding_from_json(ser.json_arg(args.pi, "--pi"))
-    depth, branch = args.depth, args.branch
+    if args.action == "eval":
+        t = ser.seq_arg(args.t, "--t")
+        return _emit({"image": list(pi.apply(t))})
+    if args.action == "extend":
+        p = ser.point_from_json(ser.json_arg(args.point, "--point"))
+        return _emit({"point": ser.point_to_json(emb.extend(pi, p))})
+    depth, branch = _table_range(args)
     if args.action == "check":
         try:
             v = emb.validate(pi.apply, depth, branch)
@@ -88,12 +107,6 @@ def _cmd_embed(args) -> int:
             return _emit({"valid": True})
         return _emit({"valid": False,
                       "violation": {"t": list(v.t), "i": v.i, "j": v.j}})
-    if args.action == "eval":
-        t = ser.seq_arg(args.t, "--t")
-        return _emit({"image": list(pi.apply(t))})
-    if args.action == "extend":
-        p = ser.point_from_json(ser.json_arg(args.point, "--point"))
-        return _emit({"point": ser.point_to_json(emb.extend(pi, p))})
     if args.action == "compose":
         pi2 = ser.embedding_from_json(ser.json_arg(args.pi2, "--pi2"))
         composed = pi.compose(pi2)
@@ -180,9 +193,10 @@ def _cmd_construct(args) -> int:
         report = trace.recheck(ser.json_arg(text, "trace"))
         return _emit({"ok": report.ok, "checked": report.checked,
                       "failures": report.failures})
+    depth, branch = _table_range(args)
     op = next(op for op in registry.OPS.values() if op.cli == args.op)
     flag, lookup = op.oracle
-    pe = op.run(lookup(getattr(args, flag)), args, args.depth, args.branch,
+    pe = op.run(lookup(getattr(args, flag)), args, depth, branch,
                 seq.DepthBudget(steps=args.steps))
     return _emit(pe.trace)
 

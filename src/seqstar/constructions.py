@@ -337,23 +337,9 @@ def category_refine(
     out_depth: int,
     out_branch: int,
     budget: DepthBudget | None = None,
-    op_name: str = "category_refine",
 ) -> PartialEmbedding:
     """Table rooted in the cone at s with every length-n image in T_n."""
-    budget = budget or DEFAULT_BUDGET
-    levels = [family(n) for n in range(out_depth + 1)]
-
-    def hint(start: Seq, u: Seq) -> Seq | None:
-        dense = levels[len(u)].dense_extension
-        return None if dense is None else tuple(dense(start))
-
-    table = _refine(lambda c, u: levels[len(u)].member(c), [tuple(s)], _word_pool(out_branch),
-                    _Steps(budget.steps, op_name), out_depth, out_branch, hint,
-                    failure="level constraint not reachable by search")
-    certs = [{"kind": "in_set", "family_level": len(t), "node": list(img), "member": True}
-             for t, img in table.items()]
-    return _made(op_name, {"depth": out_depth, "branch": out_branch, "root": list(s)},
-                 table, certs, out_depth, out_branch, family=family.name)
+    return _level_refine("category_refine", family, s, out_depth, out_branch, budget)
 
 
 def continuity_refine(
@@ -368,8 +354,26 @@ def continuity_refine(
     The presentation is the same data category_refine consumes, and the
     work is delegated wholesale.
     """
-    return category_refine(family, s, out_depth, out_branch, budget,
-                           op_name="continuity_refine")
+    return _level_refine("continuity_refine", family, s, out_depth, out_branch, budget)
+
+
+def _level_refine(op: str, family: TreeFamily, s: Seq, out_depth: int, out_branch: int,
+                  budget: DepthBudget | None) -> PartialEmbedding:
+    """category_refine's search, traced under op."""
+    budget = budget or DEFAULT_BUDGET
+    levels = [family(n) for n in range(out_depth + 1)]
+
+    def hint(start: Seq, u: Seq) -> Seq | None:
+        dense = levels[len(u)].dense_extension
+        return None if dense is None else tuple(dense(start))
+
+    table = _refine(lambda c, u: levels[len(u)].member(c), [tuple(s)], _word_pool(out_branch),
+                    _Steps(budget.steps, op), out_depth, out_branch, hint,
+                    failure="level constraint not reachable by search")
+    certs = [{"kind": "in_set", "family_level": len(t), "node": list(img), "member": True}
+             for t, img in table.items()]
+    return _made(op, {"depth": out_depth, "branch": out_branch, "root": list(s)},
+                 table, certs, out_depth, out_branch, family=family.name)
 
 
 def diameter_shrink(

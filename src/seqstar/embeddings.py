@@ -57,10 +57,9 @@ class MeetEmbedding:
     the memo then behaves as a transparent cache.
     """
 
-    def __init__(self, root: Seq, rule: Callable[[Seq, int], Seq], name: str = ""):
+    def __init__(self, root: Seq, rule: Callable[[Seq, int], Seq]):
         self.root = tuple(root)
         self._rule = rule
-        self.name = name
         self._memo: dict[Seq, Seq] = {(): self.root}
         self._fork: dict[Seq, dict[int, int]] = {}
         # Depth from which every child image is the parent image followed by
@@ -103,8 +102,7 @@ class MeetEmbedding:
         def rule(t: Seq, i: int) -> Seq:
             return outer.apply(inner.apply(t + (i,)))
 
-        e = MeetEmbedding(outer.apply(inner.apply(())), rule,
-                          name=f"{outer.name or 'outer'}∘{inner.name or 'inner'}")
+        e = MeetEmbedding(outer.apply(inner.apply(())), rule)
         # Images are at least as long as their nodes, so past both depths
         # the inner copy lands where the outer one copies too.
         if outer.stable is not None and inner.stable is not None:
@@ -114,22 +112,22 @@ class MeetEmbedding:
     @classmethod
     def prefix(cls, s: Seq) -> "MeetEmbedding":
         s = tuple(s)
-        e = cls(s, lambda t, i, _s=s: _s + t + (i,), name=f"prefix{list(s)}")
+        e = cls(s, lambda t, i: s + t + (i,))
         e.stable = 0
         return e
 
     @classmethod
     def identity(cls) -> "MeetEmbedding":
-        e = cls((), lambda t, i: t + (i,), name="id")
+        e = cls((), lambda t, i: t + (i,))
         e.stable = 0
         return e
 
     @classmethod
-    def from_node_map(cls, node_map: Callable[[Seq], Seq], name: str = "") -> "MeetEmbedding":
-        return cls(node_map(()), lambda t, i: node_map(t + (i,)), name=name)
+    def from_node_map(cls, node_map: Callable[[Seq], Seq]) -> "MeetEmbedding":
+        return cls(node_map(()), lambda t, i: node_map(t + (i,)))
 
     @classmethod
-    def from_table(cls, table: Mapping[Seq, Seq], name: str = "table") -> "MeetEmbedding":
+    def from_table(cls, table: Mapping[Seq, Seq]) -> "MeetEmbedding":
         """Finite node table; children outside the table extend by the
         identity successor step on top of the computed parent image."""
         tbl = {tuple(k): tuple(v) for k, v in table.items()}
@@ -140,7 +138,7 @@ class MeetEmbedding:
                 return tbl[child]
             return e.apply(t) + (i,)
 
-        e = cls(tbl.get((), ()), rule, name=name)
+        e = cls(tbl.get((), ()), rule)
         e.stable = max(map(len, tbl), default=0)
         return e
 
@@ -289,7 +287,7 @@ def amalgamate(family: EmbeddingFamily, depth: int, branch: int) -> MeetEmbeddin
                 raise ContainmentError(t, t[:n], result)
         return result
 
-    amalgam = MeetEmbedding.from_node_map(node_map, name="amalgam")
+    amalgam = MeetEmbedding.from_node_map(node_map)
     # Touch the whole range so containment violations surface eagerly.
     for t in nodes_in_range(depth, branch):
         amalgam.apply(t)
@@ -324,7 +322,7 @@ def extend(pi: MeetEmbedding, p: Point, budget: DepthBudget | None = None) -> Po
             if steps > budget.steps or i > budget.depth:
                 raise BudgetExceeded(f"extension prefix {k} not reached within budget")
 
-    return InfinitePoint(prefix_fn, label=f"{pi.name or 'pi'}^({p!r})")
+    return InfinitePoint(prefix_fn, label=f"pi^({p!r})")
 
 
 class Empty(Frozen):

@@ -138,6 +138,11 @@ class Dyadic:
         raise ValueError(f"cannot parse dyadic {s!r}")
 
 
+def radius(t: Seq) -> Dyadic:
+    """The radius 2^-(len + sum of entries) at node t."""
+    return Dyadic(1, weight(t))
+
+
 class EpsilonSchedule(Frozen):
     """A node-indexed family of positive dyadic radii, decreasing along the
     prefix order and vanishing per weight level."""
@@ -148,11 +153,11 @@ class EpsilonSchedule(Frozen):
         return self.rule(t)
 
 
-_WEIGHT_SCHEDULE = EpsilonSchedule("weight", lambda t: Dyadic(1, weight(t)))
+_WEIGHT_SCHEDULE = EpsilonSchedule("weight", radius)
 
 
 def weight_schedule() -> EpsilonSchedule:
-    """The default schedule 2^-(len + sum of entries), one shared instance."""
+    """The schedule of radius, one shared instance."""
     return _WEIGHT_SCHEDULE
 
 
@@ -175,49 +180,28 @@ class Bounded(Frozen):
 DistanceResult = Exact | Bounded
 
 
-def distance(
-    a: Point,
-    b: Point,
-    schedule: EpsilonSchedule | None = None,
-    budget: DepthBudget | None = None,
-) -> DistanceResult:
-    """The ultrametric distance: max of the schedule over the two split-index
-    restrictions that lie in the tree; zero on equal points."""
-    schedule = schedule or weight_schedule()
+def distance(a: Point, b: Point, budget: DepthBudget | None = None) -> DistanceResult:
+    """The ultrametric distance 2^-w, w the least weight of the two
+    split-index restrictions that lie in the tree; zero on equal points."""
     budget = budget or DEFAULT_BUDGET
     if a == b:
         return Exact(Dyadic.zero())
     i = split_index(a, b, budget)
     if isinstance(i, Undetermined):
-        common = a.restrict(i.depth, budget)
         # Agreement to the budget depth; if the common prefix carries the
         # infinity marker the points are equal augmented points, handled above.
-        return Bounded(schedule(common.seq))
-    best = None
-    for p in (a, b):
-        r = p.restrict(i, budget)
-        if not r.marked:
-            eps = schedule(r.seq)
-            if best is None or eps > best:
-                best = eps
-    if best is None:
-        raise AssertionError(
-            "both split restrictions carry the infinity marker; "
-            "impossible for distinct points"
-        )
-    return Exact(best)
+        return Bounded(radius(a.restrict(i.depth, budget).seq))
+    # At most one restriction is marked: two would make the points equal.
+    w = min(weight(r.seq) for r in (a.restrict(i, budget), b.restrict(i, budget)) if not r.marked)
+    return Exact(Dyadic(1, w))
 
 
 def ball_member(
-    center: Point,
-    radius: Dyadic,
-    p: Point,
-    schedule: EpsilonSchedule | None = None,
-    budget: DepthBudget | None = None,
+    center: Point, radius: Dyadic, p: Point, budget: DepthBudget | None = None
 ) -> bool | Undetermined:
     """Membership of p in the open ball around center; Undetermined when a
     bounded distance does not settle it."""
-    d = distance(center, p, schedule, budget)
+    d = distance(center, p, budget)
     if isinstance(d, Exact):
         return d.value < radius
     if d.upper < radius:

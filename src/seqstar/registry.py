@@ -103,16 +103,16 @@ def _levels_all(n: int) -> TreeSetOracle:
 def _levels_length(n: int) -> TreeSetOracle:
     return TreeSetOracle(
         f"length-at-least:{n}",
-        lambda t, _n=n: len(t) >= _n,
-        dense_extension=lambda r, _n=n: r + (0,) * max(0, _n - len(r)),
+        lambda t: len(t) >= n,
+        dense_extension=lambda r: r + (0,) * max(0, n - len(r)),
     )
 
 
 def _levels_ends_in_zero(n: int) -> TreeSetOracle:
     return TreeSetOracle(
         f"ends-in-zero-level:{n}",
-        lambda t, _n=n: len(t) >= max(_n, 1) and t[-1] == 0,
-        dense_extension=lambda r, _n=n: r + (0,) * max(1, _n - len(r)),
+        lambda t: len(t) >= max(n, 1) and t[-1] == 0,
+        dense_extension=lambda r: r + (0,) * max(1, n - len(r)),
     )
 
 

@@ -1,7 +1,8 @@
 """JSON encoding of points, basic sets, embeddings, and dyadic values.
 
 Every document emitted by the command-line layer round-trips through these
-functions; parse failures raise ParseError with a message naming the field.
+functions; basic sets and embeddings, which it only reads, are only
+parsed.  Parse failures raise ParseError with a message naming the field.
 """
 from __future__ import annotations
 
@@ -69,14 +70,6 @@ def point_from_json(obj: Any) -> Point:
     raise ParseError(f"unknown point kind {kind!r}")
 
 
-def basic_to_json(B: top.BasicClopen) -> dict:
-    if isinstance(B, top.Singleton):
-        return {"kind": "singleton", "t": list(B.t)}
-    if isinstance(B, top.Cone):
-        return {"kind": "cone", "t": list(B.t)}
-    return {"kind": "cone_minus", "t": list(B.t), "i": B.i}
-
-
 def basic_from_json(obj: Any) -> top.BasicClopen:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError("basic set must be an object with a 'kind' field")
@@ -117,21 +110,6 @@ def table_from_json(obj: Any) -> dict[Seq, Seq]:
     return {node_from_key(k): _seq(v, f"table[{k}]") for k, v in obj.items()}
 
 
-def embedding_to_json(pi: emb.MeetEmbedding, depth: int | None = None, branch: int | None = None) -> dict:
-    """Emit a prefix embedding symbolically, anything else as a finite table."""
-    if pi.stable == 0:
-        return {"kind": "prefix", "s": list(pi.root)} if pi.root else {"kind": "identity"}
-    if depth is None or branch is None:
-        raise ParseError("table serialization needs depth and branch bounds")
-    from .sequences import nodes_in_range
-
-    entries = []
-    for t in nodes_in_range(depth, branch):
-        if t:
-            entries.append([list(t[:-1]), t[-1], list(pi.apply(t))])
-    return {"kind": "table", "root": list(pi.apply(())), "entries": entries}
-
-
 def embedding_from_json(obj: Any) -> emb.MeetEmbedding:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError("embedding must be an object with a 'kind' field")
@@ -154,10 +132,6 @@ def embedding_from_json(obj: Any) -> emb.MeetEmbedding:
             table[_seq(t, "entry node") + (i,)] = _seq(img, "entry image")
         return emb.MeetEmbedding.from_table(table)
     raise ParseError(f"unknown embedding kind {kind!r}")
-
-
-def dyadic_to_json(x: Dyadic) -> str:
-    return str(x)
 
 
 def dyadic_from_json(obj: Any) -> Dyadic:

@@ -26,7 +26,7 @@ from .sequences import (
     nodes_in_range,
     weight,
 )
-from .metric import Dyadic, EpsilonSchedule, weight_schedule
+from .metric import Dyadic, radius
 
 
 class Singleton(Frozen):
@@ -173,26 +173,19 @@ def uncovered_descent(family: list[BasicClopen]) -> Point:
                  if not _cone_covered(family, t + (j,), letters, memo))
 
 
-def neighborhood_of(
-    p: Point,
-    eps: Dyadic,
-    schedule: EpsilonSchedule | None = None,
-    budget: DepthBudget | None = None,
-) -> BasicClopen:
+def neighborhood_of(p: Point, eps: Dyadic, budget: DepthBudget | None = None) -> BasicClopen:
     """A basic set containing p of metric diameter below eps."""
-    schedule = schedule or weight_schedule()
     budget = budget or DEFAULT_BUDGET
     if isinstance(p, FinitePoint):
         return Singleton(p.seq)
     if isinstance(p, AugmentedPoint):
         t = p.seq
         for i in range(budget.branch + 1):
-            if schedule(t + (i,)) < eps:
+            if radius(t + (i,)) < eps:
                 return ConeMinus(t, i)
         raise BudgetExceeded(f"no small enough basic set within budget {budget}")
     for i in range(budget.depth + 1):
         prefix = p.restrict(i, budget).seq
-        if schedule(prefix) < eps:
+        if radius(prefix) < eps:
             return Cone(prefix)
     raise BudgetExceeded(f"no small enough basic set within budget {budget}")
-

@@ -92,7 +92,7 @@ def test_criterion_02_ultrametric():
     n = len(pts)
 
     def expo(a, b):
-        r = distance(a, b, SCHED)
+        r = distance(a, b)
         assert isinstance(r, Exact)
         if r.value == Dyadic.zero():
             return 10 ** 9
@@ -106,7 +106,7 @@ def test_criterion_02_ultrametric():
             assert e < 10 ** 9  # distinct points have positive distance
             assert e == expo(pts[j], a)  # symmetry
             E[i, j] = E[j, i] = e
-        assert distance(a, a, SCHED).value == Dyadic.zero()
+        assert distance(a, a).value == Dyadic.zero()
 
     # d(a,c) <= max(d(a,b), d(b,c))  <=>  E[a,c] >= min(E[a,b], E[b,c]);
     # one matrix comparison per middle point covers all (a, c) exhaustively
@@ -125,7 +125,7 @@ def test_criterion_02_ultrametric():
         return PeriodicPoint(t, (rng.randrange(3),))
 
     def dval(a, b):
-        r = distance(a, b, SCHED)
+        r = distance(a, b)
         assert isinstance(r, Exact)
         return r.value
 

@@ -261,6 +261,28 @@ def test_bad_arguments_are_json_parse_errors(capsys, argv):
     assert json.loads(err)["error"]["kind"] == "parse"
 
 
+IDENTITY = '{"kind":"identity"}'
+
+
+# depth 1024 at branch 1 spans 1025 nodes, the fewest past the limit of 1024
+@pytest.mark.parametrize("argv", [
+    ["embed", "check", "--pi", IDENTITY],
+    ["embed", "compose", "--pi", IDENTITY, "--pi2", IDENTITY],
+    ["embed", "preimage", "--pi", IDENTITY, "--t", "[0]"],
+    ["construct", "category"],
+], ids=["check", "compose", "preimage", "construct"])
+def test_a_range_past_the_node_limit_is_a_parse_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--depth", "1024", "--branch", "1")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "kind": "parse", "message": "--depth 1024 --branch 1 spans more than 1024 nodes"}
+
+
+def test_a_range_at_the_node_limit_runs(capsys):
+    got = run_json(capsys, "embed", "check", "--pi", IDENTITY, "--depth", "1023", "--branch", "1")
+    assert got == {"valid": True}
+
+
 def test_construct_depth_is_the_table_depth_only(capsys):
     got = run_json(capsys, "construct", "disjointify", "--fn", "baire-identity", "--depth", "2")
     pe = con.disjointify(space_function("baire-identity"), 2, 3, DepthBudget())

@@ -21,7 +21,7 @@ SCHED = weight_schedule()
 
 
 def d(a, b):
-    r = distance(a, b, SCHED)
+    r = distance(a, b)
     assert isinstance(r, Exact)
     return r.value
 
@@ -128,7 +128,7 @@ def test_distance_infinite_points_equal_periodic():
 def test_distance_infinite_budget_gives_bound():
     ones = InfinitePoint(lambda i: (1,) * i)
     also_ones = InfinitePoint(lambda i: (1,) * i)
-    r = distance(ones, also_ones, SCHED, DepthBudget(depth=6, steps=50))
+    r = distance(ones, also_ones, DepthBudget(depth=6, steps=50))
     assert isinstance(r, Bounded)
     assert r.upper > Dyadic.zero()
 
@@ -142,7 +142,7 @@ def test_singleton_equals_small_ball():
         for q in small_points(2, 2):
             if q != p:
                 assert d(p, q) >= eps
-        assert ball_member(p, eps, p, SCHED)
+        assert ball_member(p, eps, p)
 
 
 def test_ball_member_on_a_bounded_distance():
@@ -254,4 +254,4 @@ def test_split_index_and_distance_match_the_restriction_loop(pair, depth):
     for budget in (DepthBudget(depth=depth), DEFAULT_BUDGET):
         for p, q in ((a, b), (b, a)):
             assert split_index(p, q, budget) == split_by_restrict(p, q, budget)
-            assert distance(p, q, SCHED, budget) == distance_by_restrict(p, q, budget)
+            assert distance(p, q, budget) == distance_by_restrict(p, q, budget)

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from seqstar.metric import Dyadic, weight_schedule
+from seqstar.metric import Dyadic
 from seqstar.sequences import (
     AugmentedPoint,
     BudgetExceeded,
@@ -41,12 +41,11 @@ def test_basic_member_examples():
 
 
 def test_neighborhood_examples():
-    sched = weight_schedule()
-    n = neighborhood_of(FinitePoint((0,)), Dyadic(1, 5), sched)
+    n = neighborhood_of(FinitePoint((0,)), Dyadic(1, 5))
     assert n == Singleton((0,))
-    n = neighborhood_of(ZEROS, Dyadic(1, 2), sched)
+    n = neighborhood_of(ZEROS, Dyadic(1, 2))
     assert n == Cone((0, 0, 0))
-    n = neighborhood_of(AugmentedPoint(()), Dyadic(1, 2), sched)
+    n = neighborhood_of(AugmentedPoint(()), Dyadic(1, 2))
     assert n == ConeMinus((), 2)
 
 
