@@ -157,7 +157,7 @@ _WEIGHT_SCHEDULE = EpsilonSchedule("weight", radius)
 
 
 def weight_schedule() -> EpsilonSchedule:
-    """The schedule of radius, one shared instance."""
+    """radius as a schedule, one shared instance."""
     return _WEIGHT_SCHEDULE
 
 
