@@ -181,6 +181,9 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_construct(args) -> int:
     if args.op == "recheck":
+        unread = [flag for flag in args.given if flag != "--trace"]
+        if unread:
+            raise ser.ParseError(f"construct recheck reads only --trace, not {unread[0]}")
         text = args.trace
         if text == "-":
             text = sys.stdin.read()
@@ -209,6 +212,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise ser.ParseError(message)
+
+
+class _Noted(argparse.Action):
+    """Stores a flag's value and adds the flag to args.given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = (*namespace.given, self.option_strings[0])
 
 
 def _positive(text: str) -> int:
@@ -283,6 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
         "ramsey", "category", "continuity", "shrink", "stabilize", "disjointify", "limit",
         "eps-split", "shrink-or-discrete", "avoid", "finite-avoid", "discrete-refine", "classify",
         "recheck"])
+    # Each flag notes itself in args.given, so that recheck can refuse the flags it does not read.
+    p.register("action", None, _Noted)
     p.add_argument("--set", default="all", help="tree set name (ramsey)")
     p.add_argument("--family", default="all-levels", help="tree family name")
     p.add_argument("--fn", default="const-zero", help="space function name")
@@ -294,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default="-", help="trace file, inline JSON, or - for stdin")
     _range_flags(p, 2, 3)
     p.add_argument("--steps", type=_positive, default=100_000, help="search step budget")
-    p.set_defaults(run=_cmd_construct)
+    p.set_defaults(run=_cmd_construct, given=())
 
     return ap
 

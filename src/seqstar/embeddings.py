@@ -310,17 +310,21 @@ def extend(pi: MeetEmbedding, p: Point, budget: DepthBudget | None = None) -> Po
         k = (n - len(p.head)) % len(p.period)
         return PeriodicPoint(pi.apply(p._prefix(n)), p.period[k:] + p.period[:k])
 
+    # The deepest i walked so far and pi's image of p|i.  Images grow along
+    # prefixes, so any image at least k long gives the same first k
+    # coordinates, and each query resumes where the last one stopped.
+    deepest: tuple[int, Seq] | None = None
+
     def prefix_fn(k: int) -> Seq:
-        i = 0
-        steps = 0
-        while True:
-            img = pi.apply(p.restrict(i, budget).seq)
-            if len(img) >= k:
-                return img[:k]
+        nonlocal deepest
+        i, img = deepest or (0, pi.apply(p.restrict(0, budget).seq))
+        while len(img) < k:
             i += 1
-            steps += 1
-            if steps > budget.steps or i > budget.depth:
+            if i > budget.steps or i > budget.depth:
                 raise BudgetExceeded(f"extension prefix {k} not reached within budget")
+            img = pi.apply(p.restrict(i, budget).seq)
+            deepest = i, img
+        return img[:k]
 
     return InfinitePoint(prefix_fn, label=f"pi^({p!r})")
 

@@ -15,7 +15,7 @@ from .sequences import (
     Seq,
     Undetermined,
     set_field,
-    split_index,
+    split_and_weight,
     weight,
 )
 
@@ -181,19 +181,16 @@ DistanceResult = Exact | Bounded
 
 
 def distance(a: Point, b: Point, budget: DepthBudget | None = None) -> DistanceResult:
-    """The ultrametric distance 2^-w, w the least weight of the two
-    split-index restrictions that lie in the tree; zero on equal points."""
-    budget = budget or DEFAULT_BUDGET
+    """The ultrametric distance 2^-w, w the split weight of a and b (see
+    split_and_weight); zero on equal points."""
     if a == b:
         return Exact(Dyadic.zero())
-    i = split_index(a, b, budget)
-    if isinstance(i, Undetermined):
+    s = split_and_weight(a, b, budget)
+    if s.__class__ is Undetermined:
         # Agreement to the budget depth; if the common prefix carries the
         # infinity marker the points are equal augmented points, handled above.
-        return Bounded(radius(a.restrict(i.depth, budget).seq))
-    # At most one restriction is marked: two would make the points equal.
-    w = min(weight(r.seq) for r in (a.restrict(i, budget), b.restrict(i, budget)) if not r.marked)
-    return Exact(Dyadic(1, w))
+        return Bounded(radius(a.restrict(s.depth, budget).seq))
+    return Exact(Dyadic(1, s[1]))
 
 
 def ball_member(

@@ -13,9 +13,10 @@ from typing import Any, Callable
 
 from . import constructions as con  # a module reference: only running an op loads it
 from .embeddings import MeetEmbedding, extend
-from .metric import Dyadic, Exact, distance
+from .metric import Dyadic
 from .sequences import (
     AugmentedPoint,
+    BudgetExceeded,
     DomainMismatch,
     FinitePoint,
     Frozen,
@@ -26,7 +27,7 @@ from .sequences import (
     Seq,
     Undetermined,
     canonical_index,
-    split_index,
+    split_and_weight,
     weight,
 )
 from .serialize import ParseError, dyadic_from_json, seq_arg, table_from_json, table_to_json
@@ -143,21 +144,33 @@ def _abs_diff(a: Dyadic, b: Dyadic) -> Dyadic:
     return a.abs_diff(b)
 
 
+_POINT_CLASSES = {FinitePoint, AugmentedPoint, PeriodicPoint, InfinitePoint}
+
+
+def _split(a: Point, b: Point) -> tuple[int, int] | None:
+    """split_and_weight of two point values, None when they are equal.  Two
+    points that agree to the budget depth have no distance to read."""
+    if a.__class__ not in _POINT_CLASSES or b.__class__ not in _POINT_CLASSES:
+        _check_kind(a, b, Point)
+    if a == b:
+        return None
+    s = split_and_weight(a, b)
+    if s.__class__ is Undetermined:
+        raise BudgetExceeded(f"value distance undetermined: the points agree to the "
+                             f"depth budget {s.depth}")
+    return s
+
+
 def _split_metric(a: Point, b: Point) -> Dyadic:
     """The classical first-difference ultrametric 2^-(meet length)."""
-    _check_kind(a, b, Point)
-    if a == b:
-        return Dyadic.zero()
-    i = split_index(a, b)
-    if isinstance(i, Undetermined):
-        return Dyadic(1, i.depth)
-    return Dyadic(1, i - 1)
+    s = _split(a, b)
+    return Dyadic.zero() if s is None else Dyadic(1, s[0] - 1)
 
 
 def _module_metric(a: Point, b: Point) -> Dyadic:
-    _check_kind(a, b, Point)
-    d = distance(a, b)
-    return d.value if isinstance(d, Exact) else d.upper
+    """The ultrametric of the compactified space, as metric.distance reads it."""
+    s = _split(a, b)
+    return Dyadic.zero() if s is None else Dyadic(1, s[1])
 
 
 def _rational(name: str, of_seq: Callable[[Seq], Dyadic],

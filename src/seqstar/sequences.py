@@ -270,50 +270,71 @@ def restrict(p: Point, i: int, budget: DepthBudget | None = None) -> Prefix:
     return p.restrict(i, budget)
 
 
-_STOP, _MARK = "stop", "marker"
+# How a finitely presented point goes on past its coordinates: a finite
+# point's restrictions stop there, in the tree; an augmented point's gain
+# the marker; a periodic point's coordinates never run out.  Points of other
+# classes are read through restrict.
+_FINITE, _MARKED, _PERIODIC = "finite", "marked", "periodic"
+_GOES_ON = {FinitePoint: _FINITE, AugmentedPoint: _MARKED, PeriodicPoint: _PERIODIC}
 
 
-def _presented(p: Point, n: int) -> tuple[Seq, str | None] | None:
-    """The coordinates that decide p|1, ..., p|n, and how p goes on past
-    them: a finite point's restrictions stop growing, an augmented point's
-    gain the marker, and a periodic point's n coordinates do not run out.
-    None for a lazy point, which shows itself only through restrict."""
-    cls = p.__class__
-    if cls is FinitePoint:
-        return p.seq, _STOP
-    if cls is AugmentedPoint:
-        return p.seq, _MARK
-    if cls is PeriodicPoint:
-        return p._prefix(n), None
-    return None
+def split_and_weight(a: Point, b: Point,
+                     budget: DepthBudget | None = None) -> tuple[int, int] | Undetermined:
+    """The split index i of a and b, the least i with a|i != b|i, and the
+    split weight w, the least weight of a|i and b|i over those that lie in
+    the tree; Undetermined if the points agree to the budget depth.
 
-
-def split_index(a: Point, b: Point, budget: DepthBudget | None = None) -> int | Undetermined:
-    """Least i with a|i != b|i, or Undetermined if they agree to the budget depth.
-
-    Finitely presented points are compared coordinate by coordinate; past
-    its last coordinate a finite or augmented point reads as its end kind."""
+    Finitely presented points are read off their coordinates in one walk.
+    With k = i - 1 common coordinates of sum S, w is the least over the two
+    sides of i + S + x[k] where that side has a coordinate x[k], and of
+    k + S where a finite point ends; an augmented point that ends there
+    adds nothing, as its restriction carries the marker."""
     budget = budget or DEFAULT_BUDGET
     depth = budget.depth
-    pa, pb = _presented(a, depth), _presented(b, depth)
-    if pa is None or pb is None:
+    ea, eb = _GOES_ON.get(a.__class__), _GOES_ON.get(b.__class__)
+    if ea is None or eb is None:
         for i in range(1, depth + 1):
-            if a.restrict(i, budget) != b.restrict(i, budget):
-                return i
+            ra, rb = a.restrict(i, budget), b.restrict(i, budget)
+            if ra != rb:
+                return i, min(weight(r.seq) for r in (ra, rb) if not r.marked)
         return Undetermined(depth)
-    (sa, ea), (sb, eb) = pa, pb
+    if ea is _PERIODIC or eb is _PERIODIC:
+        # A periodic point shows only the coordinates that can split it from
+        # the other point: one past a finite or augmented point's end, or,
+        # against another periodic point, its longer head and a common
+        # period, on which two eventually periodic sequences agree only if
+        # they are equal.
+        if ea is eb:
+            n = max(len(a.head), len(b.head)) + math.lcm(len(a.period), len(b.period))
+        else:
+            n = len(b.seq if ea is _PERIODIC else a.seq) + 1
+        if n > depth:
+            n = depth
+        sa = a._prefix(n) if ea is _PERIODIC else a.seq
+        sb = b._prefix(n) if eb is _PERIODIC else b.seq
+    else:
+        sa, sb = a.seq, b.seq
     n = min(len(sa), len(sb), depth)
     k = 0
     while k < n and sa[k] == sb[k]:
         k += 1
     if k < n:
-        return k + 1
+        x, y = sa[k], sb[k]
+        return k + 1, k + 1 + (sum(sa[:k]) if k else 0) + (x if x < y else y)
     # Agreement on n coordinates.  Short of the depth, one point has ended:
     # the other has a coordinate there or ends another way, unless both
     # end alike, and then the points are equal.
-    if n == depth or (len(sa) == len(sb) and ea == eb):
+    if n == depth or (len(sa) == len(sb) and ea is eb):
         return Undetermined(depth)
-    return n + 1
+    if (len(sa) == n and ea is _FINITE) or (len(sb) == n and eb is _FINITE):
+        return n + 1, n + sum(sa[:n])  # a finite point ends here
+    return n + 1, n + 1 + sum(sa[:n]) + (sa[n] if len(sa) > n else sb[n])
+
+
+def split_index(a: Point, b: Point, budget: DepthBudget | None = None) -> int | Undetermined:
+    """Least i with a|i != b|i, or Undetermined if they agree to the budget depth."""
+    s = split_and_weight(a, b, budget)
+    return s if s.__class__ is Undetermined else s[0]
 
 
 def cone_member(t: Seq, p: Point, budget: DepthBudget | None = None) -> bool:

@@ -148,13 +148,18 @@ class _Memo:
         return d
 
 
-# kind -> (whether distance d meets bound b, how a failure reads)
+# kind -> (whether distance d meets bound b, how a failure reads).  An
+# avoid_pair bound must also be positive, which _check_cert checks once.
 _PAIRWISE = {
     "value_dist_lt": (Dyadic.__lt__, "vs bound"),
     "value_dist_le": (Dyadic.__le__, "vs bound"),
     "value_dist_ge": (Dyadic.__ge__, "vs bound"),
-    "avoid_pair": (lambda d, b: not b.is_zero() and d >= b, "below positive bound"),
+    "avoid_pair": (Dyadic.__ge__, "below positive bound"),
 }
+
+
+def _never(d: Dyadic, b: Dyadic) -> bool:
+    return False
 
 
 def _check_cert(cert: _Fields, trace: _Fields, phi: SpaceFunction | None,
@@ -168,6 +173,8 @@ def _check_cert(cert: _Fields, trace: _Fields, phi: SpaceFunction | None,
     a, b = cert.indices("a", len(points)), cert.indices("b", len(points))
     bound = memo.dyadic(cert, "bound")
     holds, reads = _PAIRWISE[kind]
+    if kind == "avoid_pair" and bound.is_zero():
+        holds = _never  # the first pair reports the zero bound
     count, vb = len(a) * len(b), [memo.value(points[j]) for j in b]
     for i in a:
         va = memo.value(points[i])

@@ -121,6 +121,19 @@ def test_exit_code_parse_error(capsys):
     assert json.loads(err)["error"]["kind"] == "parse"
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--depth", "5", "--fn", "no-such-fn", "--steps", "1", "--eps", "7"], "--depth"),
+    (["--depth", "2"], "--depth"),
+    (["--selector-budget", "48"], "--selector-budget"),
+], ids=["several", "default-value", "underscore-dest"])
+def test_recheck_refuses_the_flags_it_does_not_read(capsys, monkeypatch, flags, named):
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"certificates": []}'))
+    code, out, err = run(capsys, "construct", "recheck", "--trace", "-", *flags)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "kind": "parse", "message": f"construct recheck reads only --trace, not {named}"}
+
+
 def test_recheck_names_a_missing_certificate_field(capsys):
     code, out, err = run(capsys, "construct", "recheck",
                          "--trace", '{"certificates":[{"kind":"in_set"}]}')

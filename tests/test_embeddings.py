@@ -21,14 +21,17 @@ from seqstar.embeddings import (
 )
 from seqstar.sequences import (
     AugmentedPoint,
+    BudgetExceeded,
     DepthBudget,
     FinitePoint,
     InfinitePoint,
     PeriodicPoint,
+    Undetermined,
     is_prefix,
     meet,
     nodes_in_range,
     restrict,
+    split_index,
 )
 from seqstar.topology import Cone
 
@@ -227,6 +230,39 @@ def test_periodic_extension_is_exact_and_matches_the_lazy_walk(pi, inner, head, 
     assert isinstance(exact, PeriodicPoint)
     lazy = extend(MeetEmbedding.from_node_map(pi.apply), p)
     assert restrict(exact, 64).seq == restrict(lazy, 64).seq
+
+
+@pytest.mark.parametrize("depth", [16, 32, 64])
+def test_the_lazy_extension_walk_resumes_where_it_stopped(monkeypatch, depth):
+    # split_index asks for p|1, ..., p|depth in turn.  Each query walks one
+    # restriction further: one apply of the new node and one of its parent,
+    # a memo hit, after the root's.
+    calls = 0
+    apply = MeetEmbedding.apply
+
+    def counted(self, t):
+        nonlocal calls
+        calls += 1
+        return apply(self, t)
+
+    monkeypatch.setattr(MeetEmbedding, "apply", counted)
+    zeros = PeriodicPoint((), (0,))
+    lazy = extend(MeetEmbedding.from_node_map(lambda t: t), zeros)
+    assert split_index(lazy, zeros, DepthBudget(depth=depth)) == Undetermined(depth)
+    assert calls == 2 * depth + 1
+
+
+@pytest.mark.parametrize("budget", [DepthBudget(depth=8), DepthBudget(steps=8)])
+def test_the_lazy_extension_walk_stops_at_its_budget(budget):
+    # pi doubles each coordinate, so p|i has an image of length 2i.
+    pi = MeetEmbedding.from_node_map(lambda t: tuple(x for c in t for x in (c, c)))
+    lazy = extend(pi, PeriodicPoint((), (1,)), budget)
+    wide = DepthBudget(depth=100)
+    assert restrict(lazy, 16, wide).seq == (1,) * 16
+    assert restrict(lazy, 3, wide).seq == (1,) * 3
+    with pytest.raises(BudgetExceeded, match="extension prefix 17 not reached"):
+        restrict(lazy, 17, wide)
+    assert restrict(lazy, 15, wide).seq == (1,) * 15
 
 
 def test_composition_extension_law():

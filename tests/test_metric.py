@@ -6,9 +6,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from seqstar.metric import Bounded, Dyadic, Exact, ball_member, distance, weight_schedule
+from seqstar.registry import FUNCTIONS
 from seqstar.sequences import (
     DEFAULT_BUDGET,
     AugmentedPoint,
+    BudgetExceeded,
     DepthBudget,
     FinitePoint,
     InfinitePoint,
@@ -247,6 +249,21 @@ def point_pairs(draw):
     return a, written_again(a, draw(st.integers(0, 6)), draw(st.integers(1, 3)))
 
 
+def value_distance_by_restrict(name, x, y):
+    """FUNCTIONS[name].value_distance of two point values, from the
+    restriction loop at the default budget; None where the values agree to
+    its depth, and no distance can be read."""
+    d = distance_by_restrict(x, y, DEFAULT_BUDGET)
+    if isinstance(d, Bounded):
+        return None
+    if name != "baire-identity" or d.value.is_zero():
+        return d.value
+    return Dyadic(1, split_by_restrict(x, y, DEFAULT_BUDGET) - 1)
+
+
+POINT_VALUED = ("baire-identity", "compactify-identity", "prefix-embed")
+
+
 @settings(max_examples=400)
 @given(point_pairs(), st.integers(1, 10))
 def test_split_index_and_distance_match_the_restriction_loop(pair, depth):
@@ -255,3 +272,42 @@ def test_split_index_and_distance_match_the_restriction_loop(pair, depth):
         for p, q in ((a, b), (b, a)):
             assert split_index(p, q, budget) == split_by_restrict(p, q, budget)
             assert distance(p, q, budget) == distance_by_restrict(p, q, budget)
+    for name in POINT_VALUED:
+        phi = FUNCTIONS[name]
+        x, y = phi.evaluate(a), phi.evaluate(b)
+        want = value_distance_by_restrict(name, x, y)
+        if want is None:
+            with pytest.raises(BudgetExceeded, match="depth budget 64"):
+                phi.value_distance(x, y)
+        else:
+            assert phi.value_distance(x, y) == want == phi.value_distance(y, x)
+
+
+@pytest.mark.parametrize("name", ["baire-identity", "compactify-identity"])
+def test_a_value_distance_to_the_budget_depth_is_not_a_distance(name):
+    # Two oracles for one point agree to every depth; their distance is 0,
+    # which no depth budget can tell from a small positive one.
+    a, b = InfinitePoint(lambda i: (0,) * i), InfinitePoint(lambda i: (0,) * i)
+    with pytest.raises(BudgetExceeded, match="depth budget 64"):
+        FUNCTIONS[name].value_distance(a, b)
+
+
+def test_distance_reads_presented_points_without_restricting_them(monkeypatch):
+    calls = []
+
+    def counted(restrict):
+        def call(p, *args):
+            calls.append(p)
+            return restrict(p, *args)
+        return call
+
+    for cls in (FinitePoint, AugmentedPoint, InfinitePoint):
+        monkeypatch.setattr(cls, "restrict", counted(cls.restrict))
+    head = (1, 0, 2) * 10
+    points = [FinitePoint(()), AugmentedPoint(()), PeriodicPoint((), (0,)), FinitePoint(head),
+              AugmentedPoint(head), PeriodicPoint(head, (2, 1)), PeriodicPoint(head + (1,), (0,))]
+    for p, q in itertools.product(points, repeat=2):
+        assert isinstance(distance(p, q), Exact)
+        FUNCTIONS["compactify-identity"].value_distance(p, q)
+        FUNCTIONS["baire-identity"].value_distance(p, q)
+    assert calls == []
