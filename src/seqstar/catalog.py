@@ -197,8 +197,7 @@ def catalog_b() -> list[CatalogFunction]:
     return catalog_a() + [UnionWithP(b) for b in _baire_parts()]
 
 
-def evaluate(f: CatalogFunction, p: Point, budget: DepthBudget | None = None) -> TaggedValue:
-    budget = budget or DEFAULT_BUDGET
+def evaluate(f: CatalogFunction, p: Point) -> TaggedValue:
     if isinstance(f, Const):
         if not tag_member(f.domain, p):
             raise DomainMismatch(f"{p!r} not in {f.domain}")
@@ -213,14 +212,14 @@ def evaluate(f: CatalogFunction, p: Point, budget: DepthBudget | None = None) ->
         if isinstance(p, AugmentedPoint):
             return TaggedValue(SpaceTag.Tree, project_p(p))
         if isinstance(p, InfinitePoint):
-            return evaluate(f.baire_part, p, budget)
+            return evaluate(f.baire_part, p)
         raise DomainMismatch(f"{p!r} not in BaireStar")
     if isinstance(f, DisjointUnion):
         if isinstance(p, InfinitePoint):
-            inner = evaluate(f.baire_part, p, budget)
+            inner = evaluate(f.baire_part, p)
             return TaggedValue(inner.space, Left(inner.payload))
         if isinstance(p, AugmentedPoint):
-            inner = evaluate(f.rest_part, p, budget)
+            inner = evaluate(f.rest_part, p)
             return TaggedValue(inner.space, Right(inner.payload))
         raise DomainMismatch(f"{p!r} not in BaireStar")
     raise DomainMismatch(f"not a catalog function: {f!r}")
@@ -261,7 +260,7 @@ def embed_via(
     budget = budget or DEFAULT_BUDGET
     psi: dict = {}
     for p in sample_pairs:
-        key = _value_key(evaluate(f, p, budget))
+        key = _value_key(evaluate(f, p))
         val = phi.evaluate(emb.extend(pi, p, budget))
         if key in psi:
             if not phi.value_distance(psi[key], val).is_zero():

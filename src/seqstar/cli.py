@@ -30,10 +30,7 @@ def _emit(doc: dict) -> int:
 def _cmd_dist(args) -> int:
     a = ser.point_from_json(ser.json_arg(args.a, "--a"))
     b = ser.point_from_json(ser.json_arg(args.b, "--b"))
-    d = metric.distance(a, b, budget=seq.DepthBudget(depth=args.depth))
-    if isinstance(d, metric.Exact):
-        return _emit({"exact": str(d.value)})
-    return _emit({"upper": str(d.upper)})
+    return _emit({"exact": str(metric.distance(a, b).value)})
 
 
 def _cmd_meet(args) -> int:
@@ -50,7 +47,7 @@ def _cmd_eps(args) -> int:
 def _cmd_member(args) -> int:
     B = ser.basic_from_json(ser.json_arg(args.set, "--set"))
     p = ser.point_from_json(ser.json_arg(args.point, "--point"))
-    return _emit({"member": top.basic_member(B, p, seq.DepthBudget(depth=args.depth))})
+    return _emit({"member": top.basic_member(B, p)})
 
 
 def _parse_family(text: str):
@@ -180,10 +177,13 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    if args.op == "recheck":
-        unread = [flag for flag in args.given if flag != "--trace"]
-        if unread:
-            raise ser.ParseError(f"construct recheck reads only --trace, not {unread[0]}")
+    op = next((op for op in registry.OPS.values() if op.cli == args.op), None)
+    reads = (("--trace",) if op is None
+             else (f"--{op.oracle[0]}", *op.flags, "--depth", "--branch", "--steps"))
+    unread = [flag for flag in args.given if flag not in reads]
+    if unread:
+        raise ser.ParseError(f"construct {args.op} reads only {', '.join(reads)}, not {unread[0]}")
+    if op is None:  # recheck
         text = args.trace
         if text == "-":
             text = sys.stdin.read()
@@ -197,7 +197,6 @@ def _cmd_construct(args) -> int:
         return _emit({"ok": report.ok, "checked": report.checked,
                       "failures": report.failures})
     depth, branch = _table_range(args)
-    op = next(op for op in registry.OPS.values() if op.cli == args.op)
     flag, lookup = op.oracle
     pe = op.run(lookup(getattr(args, flag)), args, depth, branch,
                 seq.DepthBudget(steps=args.steps))
@@ -243,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dist", help="ultrametric distance between two points")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--depth", type=_positive, default=64, help="depth budget")
     p.set_defaults(run=_cmd_dist)
 
     p = sub.add_parser("meet", help="longest common prefix of two nodes")
@@ -258,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("member", help="membership of a point in a basic set")
     p.add_argument("--set", required=True)
     p.add_argument("--point", required=True)
-    p.add_argument("--depth", type=_positive, default=64, help="depth budget")
     p.set_defaults(run=_cmd_member)
 
     p = sub.add_parser("cover-check", help="decide whether basic sets cover the space")
@@ -294,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         "ramsey", "category", "continuity", "shrink", "stabilize", "disjointify", "limit",
         "eps-split", "shrink-or-discrete", "avoid", "finite-avoid", "discrete-refine", "classify",
         "recheck"])
-    # Each flag notes itself in args.given, so that recheck can refuse the flags it does not read.
+    # Each flag notes itself in args.given, so that each op can refuse the flags it does not read.
     p.register("action", None, _Noted)
     p.add_argument("--set", default="all", help="tree set name (ramsey)")
     p.add_argument("--family", default="all-levels", help="tree family name")

@@ -469,8 +469,9 @@ def disjointify(
     budget: DepthBudget | None = None,
 ) -> PartialEmbedding:
     """Table whose sibling child cones carry values certified apart:
-    dist(sample_i, sample_j) > diam_i + diam_j for all sibling pairs."""
-    budget = budget or DEFAULT_BUDGET
+    dist(sample_i, sample_j) > diam_i + diam_j for all sibling pairs.  The
+    samples are periodic points, which no budget bounds; budget stays for
+    the signature the ops share."""
     if phi.cone_diameter is None:
         raise DomainMismatch("disjointify needs a cone_diameter oracle")
     certs: list[dict] = []
@@ -485,13 +486,7 @@ def disjointify(
                     f"samples below {r} do not separate (constant region?)",
                     stage="disjointify")
         for m in range(24):
-            # a periodic point's prefix has the length asked for, or restrict
-            # raises past the depth budget, which this stage then ran out of
-            try:
-                imgs = [p.restrict(len(r) + 1 + m, budget).seq for p in samples]
-            except BudgetExceeded as e:
-                e.stage = "disjointify"
-                raise
+            imgs = [p.restrict(len(r) + 1 + m).seq for p in samples]
             ok = all(
                 phi.value_distance(values[a], values[b])
                 > phi.cone_diameter(imgs[a]) + phi.cone_diameter(imgs[b])

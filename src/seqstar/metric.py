@@ -182,13 +182,13 @@ DistanceResult = Exact | Bounded
 
 def distance(a: Point, b: Point, budget: DepthBudget | None = None) -> DistanceResult:
     """The ultrametric distance 2^-w, w the split weight of a and b (see
-    split_and_weight); zero on equal points."""
+    split_and_weight); zero on equal points.  Exact on finitely presented
+    points; Bounded where a lazy point agrees with the other to the budget
+    depth."""
     if a == b:
         return Exact(Dyadic.zero())
     s = split_and_weight(a, b, budget)
     if s.__class__ is Undetermined:
-        # Agreement to the budget depth; if the common prefix carries the
-        # infinity marker the points are equal augmented points, handled above.
         return Bounded(radius(a.restrict(s.depth, budget).seq))
     return Exact(Dyadic(1, s[1]))
 

@@ -292,13 +292,14 @@ class Op(Record):
     command line does not run it); oracle is the flag naming its registry
     oracle and the lookup of that name; kinds are the certificate kinds its
     traces may carry; run(oracle, args, depth, branch, budget) calls the op
-    as the command line does, args holding the parsed flags; stages are the
-    ops of the stages it rests on, in order (None: no stages)."""
+    as the command line does, args holding the parsed flags; flags are the
+    flags run reads beyond the oracle's and the budget's; stages are the ops
+    of the stages it rests on, in order (None: no stages)."""
 
-    __slots__ = ("cli", "oracle", "kinds", "run", "stages")
+    __slots__ = ("cli", "oracle", "kinds", "run", "flags", "stages")
 
-    def __init__(self, cli: str | None, oracle: tuple, kinds: str, run=None, stages=None):
-        super().__init__(cli, oracle, {"valid_table", *kinds.split()}, run, stages)
+    def __init__(self, cli: str | None, oracle: tuple, kinds: str, run=None, flags="", stages=None):
+        super().__init__(cli, oracle, {"valid_table", *kinds.split()}, run, flags.split(), stages)
 
 
 def _root(args) -> Seq:
@@ -312,31 +313,33 @@ _SET, _FAMILY, _FN = ("set", tree_set), ("family", tree_family), ("fn", space_fu
 OPS = {
     "ramsey_split": Op("ramsey", _SET, "in_set", lambda o, a, *r: con.ramsey_split(o, *r)[1]),
     "category_refine": Op("category", _FAMILY, "in_set",
-                          lambda o, a, *r: con.category_refine(o, _root(a), *r)),
+                          lambda o, a, *r: con.category_refine(o, _root(a), *r), "--root"),
     "continuity_refine": Op("continuity", _FAMILY, "in_set",
-                            lambda o, a, *r: con.continuity_refine(o, _root(a), *r)),
+                            lambda o, a, *r: con.continuity_refine(o, _root(a), *r), "--root"),
     "diameter_shrink": Op("shrink", _FN, "diam_lt",
                           lambda o, a, *r: con.diameter_shrink(o, None, *r)),
     "children_stabilize": Op("stabilize", _FN, "value_dist_le value_dist_ge", lambda o, a, *r:
-                             con.children_stabilize(o, a.selector_budget, *r)[0]),
+                             con.children_stabilize(o, a.selector_budget, *r)[0],
+                             "--selector-budget"),
     "disjointify": Op("disjointify", _FN, "dist_gt_sum", lambda o, a, *r: con.disjointify(o, *r)),
     "limit_refine": Op("limit", _FN, "value_dist_lt value_dist_ge",
                        lambda o, a, *r: con.limit_refine(o, None, *r)[1]),
     "epsilon_discrete_or_ball": Op(
         "eps-split", _FN, "value_dist_lt value_dist_ge", lambda o, a, *r:
-        con.epsilon_discrete_or_ball(o, dyadic_from_json(a.eps), _root(a), *r)[1]),
+        con.epsilon_discrete_or_ball(o, dyadic_from_json(a.eps), _root(a), *r)[1], "--eps --root"),
     "shrink_or_discrete": Op(
         "shrink-or-discrete", _FN, "value_dist_ge cone_value_diam_lt meet_table",
         lambda o, a, *r: con.shrink_or_discrete(o, None, *r)[1]),
     "point_avoid": Op("avoid", _FN, "avoid_value",
-                      lambda o, a, *r: con.point_avoid(o, dyadic_from_json(a.x), r[2])[1]),
+                      lambda o, a, *r: con.point_avoid(o, dyadic_from_json(a.x), r[2])[1], "--x"),
     "finite_avoid_or_converge": Op(
         "finite-avoid", _FN, "avoid_value", lambda o, a, *r: con.finite_avoid_or_converge(
-            o, [dyadic_from_json(s.strip()) for s in a.values.split(";")], _root(a), *r)[1]),
+            o, [dyadic_from_json(s.strip()) for s in a.values.split(";")], _root(a), *r)[1],
+        "--values --root"),
     "discrete_refine": Op("discrete-refine", _FN, "value_dist_lt avoid_pair meet_table",
                           lambda o, a, *r: con.discrete_refine(o, None, *r)[1]),
     "classify_baire_function": Op("classify", _FN, "value_dist_le meet_table",
                                   lambda o, a, *r: con.classify_baire_function(o, *r)[1],
-                                  ["diameter_shrink", "children_stabilize", "disjointify"]),
+                                  stages=["diameter_shrink", "children_stabilize", "disjointify"]),
     "disjoint_refine": Op(None, _FN, "diam_lt value_dist_le value_dist_ge"),
 }

@@ -17,7 +17,7 @@ EMPTY: Seq = ()
 
 
 class BudgetExceeded(Exception):
-    """Raised when an operation runs out of its depth/branch/step allowance."""
+    """Raised when an operation runs out of its depth or step allowance."""
 
     def __init__(self, message: str, stage: str | None = None, partial=None):
         super().__init__(message)
@@ -93,15 +93,14 @@ class Frozen(Record):
 
 
 class DepthBudget(Frozen):
-    """Caps on how far lazy points and searches may be inspected."""
+    """Caps on how far lazy points may be read and searches may run."""
 
-    __slots__ = ("depth", "branch", "steps")
+    __slots__ = ("depth", "steps")
 
-    def __init__(self, depth: int = 64, branch: int = 64, steps: int = 100_000):
-        if depth <= 0 or branch <= 0 or steps <= 0:
+    def __init__(self, depth: int = 64, steps: int = 100_000):
+        if depth <= 0 or steps <= 0:
             raise ValueError("budget components must be positive")
         set_field(self, "depth", depth)
-        set_field(self, "branch", branch)
         set_field(self, "steps", steps)
 
 
@@ -245,7 +244,10 @@ class PeriodicPoint(InfinitePoint):
         r = (j - len(head)) % m
         self.head = head[:j]
         self.period = period[r:m] + period[:r]
-        super().__init__(self._prefix)
+
+    def restrict(self, i: int, budget: DepthBudget | None = None) -> Prefix:
+        """p|i, read off the presentation; no budget applies."""
+        return Prefix(self._prefix(i))
 
     def _prefix(self, i: int) -> Seq:
         if i <= len(self.head):
@@ -282,7 +284,7 @@ def split_and_weight(a: Point, b: Point,
                      budget: DepthBudget | None = None) -> tuple[int, int] | Undetermined:
     """The split index i of a and b, the least i with a|i != b|i, and the
     split weight w, the least weight of a|i and b|i over those that lie in
-    the tree; Undetermined if the points agree to the budget depth.
+    the tree; Undetermined on equal points, and where a lazy point agrees to the budget depth.
 
     Finitely presented points are read off their coordinates in one walk.
     With k = i - 1 common coordinates of sum S, w is the least over the two
@@ -290,49 +292,47 @@ def split_and_weight(a: Point, b: Point,
     k + S where a finite point ends; an augmented point that ends there
     adds nothing, as its restriction carries the marker."""
     budget = budget or DEFAULT_BUDGET
-    depth = budget.depth
     ea, eb = _GOES_ON.get(a.__class__), _GOES_ON.get(b.__class__)
     if ea is None or eb is None:
-        for i in range(1, depth + 1):
+        for i in range(1, budget.depth + 1):
             ra, rb = a.restrict(i, budget), b.restrict(i, budget)
             if ra != rb:
                 return i, min(weight(r.seq) for r in (ra, rb) if not r.marked)
-        return Undetermined(depth)
+        return Undetermined(budget.depth)
     if ea is _PERIODIC or eb is _PERIODIC:
         # A periodic point shows only the coordinates that can split it from
         # the other point: one past a finite or augmented point's end, or,
-        # against another periodic point, its longer head and a common
-        # period, on which two eventually periodic sequences agree only if
-        # they are equal.
+        # against another periodic point, the longer head and p + q - gcd(p, q)
+        # more, p and q the period lengths; by Fine and Wilf, two eventually
+        # periodic sequences that agree that far are equal.
         if ea is eb:
-            n = max(len(a.head), len(b.head)) + math.lcm(len(a.period), len(b.period))
+            p, q = len(a.period), len(b.period)
+            n = max(len(a.head), len(b.head)) + p + q - math.gcd(p, q)
         else:
             n = len(b.seq if ea is _PERIODIC else a.seq) + 1
-        if n > depth:
-            n = depth
         sa = a._prefix(n) if ea is _PERIODIC else a.seq
         sb = b._prefix(n) if eb is _PERIODIC else b.seq
     else:
         sa, sb = a.seq, b.seq
-    n = min(len(sa), len(sb), depth)
+    n = min(len(sa), len(sb))
     k = 0
     while k < n and sa[k] == sb[k]:
         k += 1
     if k < n:
         x, y = sa[k], sb[k]
         return k + 1, k + 1 + (sum(sa[:k]) if k else 0) + (x if x < y else y)
-    # Agreement on n coordinates.  Short of the depth, one point has ended:
-    # the other has a coordinate there or ends another way, unless both
-    # end alike, and then the points are equal.
-    if n == depth or (len(sa) == len(sb) and ea is eb):
-        return Undetermined(depth)
+    # Agreement on n coordinates: one point has ended, and the other has a
+    # coordinate there or ends another way, unless both end alike, and then
+    # the points are equal.
+    if len(sa) == len(sb) and ea is eb:
+        return Undetermined(budget.depth)
     if (len(sa) == n and ea is _FINITE) or (len(sb) == n and eb is _FINITE):
         return n + 1, n + sum(sa[:n])  # a finite point ends here
     return n + 1, n + 1 + sum(sa[:n]) + (sa[n] if len(sa) > n else sb[n])
 
 
 def split_index(a: Point, b: Point, budget: DepthBudget | None = None) -> int | Undetermined:
-    """Least i with a|i != b|i, or Undetermined if they agree to the budget depth."""
+    """Least i with a|i != b|i, or Undetermined as split_and_weight gives it."""
     s = split_and_weight(a, b, budget)
     return s if s.__class__ is Undetermined else s[0]
 

@@ -9,6 +9,7 @@ by covering its apex, its augmented apex and each of its child cones.
 from __future__ import annotations
 
 import heapq
+import itertools
 from typing import Iterator
 
 from .sequences import (
@@ -47,7 +48,7 @@ BasicClopen = Singleton | Cone | ConeMinus
 
 
 def basic_member(B: BasicClopen, p: Point, budget: DepthBudget | None = None) -> bool:
-    budget = budget or DEFAULT_BUDGET
+    """Exact on finitely presented points; lazy ones are read to the budget depth."""
     if isinstance(B, Singleton):
         return isinstance(p, FinitePoint) and p.seq == B.t
     if isinstance(B, Cone):
@@ -174,18 +175,21 @@ def uncovered_descent(family: list[BasicClopen]) -> Point:
 
 
 def neighborhood_of(p: Point, eps: Dyadic, budget: DepthBudget | None = None) -> BasicClopen:
-    """A basic set containing p of metric diameter below eps."""
-    budget = budget or DEFAULT_BUDGET
+    """A basic set containing p of metric diameter below eps > 0; each step
+    at least halves the radius, and only a lazy point stops at the budget depth."""
+    if eps.is_zero():
+        raise ValueError("no basic set has diameter below 0")
     if isinstance(p, FinitePoint):
         return Singleton(p.seq)
     if isinstance(p, AugmentedPoint):
-        t = p.seq
-        for i in range(budget.branch + 1):
-            if radius(t + (i,)) < eps:
-                return ConeMinus(t, i)
-        raise BudgetExceeded(f"no small enough basic set within budget {budget}")
-    for i in range(budget.depth + 1):
+        i = 0
+        while not radius(p.seq + (i,)) < eps:
+            i += 1
+        return ConeMinus(p.seq, i)
+    budget = budget or DEFAULT_BUDGET
+    for i in itertools.count():
+        if i > budget.depth and not isinstance(p, PeriodicPoint):
+            raise BudgetExceeded(f"no small enough basic set within budget {budget}")
         prefix = p.restrict(i, budget).seq
         if radius(prefix) < eps:
             return Cone(prefix)
-    raise BudgetExceeded(f"no small enough basic set within budget {budget}")

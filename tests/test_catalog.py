@@ -30,7 +30,7 @@ from seqstar.embeddings import MeetEmbedding
 from seqstar.registry import space_function
 from seqstar.sequences import AugmentedPoint, DepthBudget, DomainMismatch, FinitePoint, PeriodicPoint
 
-BUDGET = DepthBudget(depth=48, branch=32, steps=1_000_000)
+BUDGET = DepthBudget(depth=48, steps=1_000_000)
 
 
 def test_counts():
@@ -77,22 +77,22 @@ def test_project_p():
 def test_evaluate_tags_union_sides():
     f = next(x for x in catalog_a()
              if isinstance(x.baire_part, Inclusion) and isinstance(x.rest_part, InclusionAfterP))
-    v = evaluate(f, PeriodicPoint((), (1,)), BUDGET)
+    v = evaluate(f, PeriodicPoint((), (1,)))
     assert isinstance(v.payload, Left)
-    v = evaluate(f, AugmentedPoint((3,)), BUDGET)
+    v = evaluate(f, AugmentedPoint((3,)))
     assert isinstance(v.payload, Right)
 
 
 def test_evaluate_const_and_infty():
     f = DisjointUnion(Const(SpaceTag.Baire), Const(SpaceTag.BaireStarMinusBaire))
-    v = evaluate(f, PeriodicPoint((), (2,)), BUDGET)
+    v = evaluate(f, PeriodicPoint((), (2,)))
     assert v.payload.payload is INFTY
 
 
 def test_evaluate_rejects_points_outside_domain():
     f = catalog_a()[0]
     with pytest.raises(DomainMismatch):
-        evaluate(f.baire_part, FinitePoint((1,)), BUDGET)
+        evaluate(f.baire_part, FinitePoint((1,)))
 
 
 def test_embed_via_injective_function_pairs():
@@ -136,7 +136,7 @@ def test_catalog_values_do_not_depend_on_how_a_point_is_written(head, period, un
     k = unroll % len(period)
     q = PeriodicPoint(p.restrict(len(head) + unroll).seq, tuple(period[k:] + period[:k]) * repeat)
     for f in catalog_b():
-        vp, vq = evaluate(f, p, BUDGET), evaluate(f, q, BUDGET)
+        vp, vq = evaluate(f, p), evaluate(f, q)
         assert _value_key(vp) == _value_key(vq), f
         # The value the command line prints is one value too.
         assert _tagged_to_json(vp) == _tagged_to_json(vq), f

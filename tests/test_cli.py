@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import seqstar
-from seqstar import constructions as con
+from seqstar import constructions as con, registry
 from seqstar.cli import EXIT_PIPE, main
 from seqstar.registry import space_function
 from seqstar.sequences import DepthBudget
@@ -50,6 +50,28 @@ def test_dist_augmented_vs_longer(capsys):
                    "--a", '{"kind":"augmented","seq":[0]}',
                    "--b", '{"kind":"finite","seq":[0,5]}')
     assert got == {"exact": "2^-7"}
+
+
+ZEROS = '{"kind":"periodic","head":[],"period":[0]}'
+
+
+def test_dist_and_member_read_presented_points_exactly(capsys):
+    # Both points agree past the old default depth budget of 64.
+    a = json.dumps({"kind": "periodic", "head": [0] * 70 + [1], "period": [0]})
+    assert run_json(capsys, "dist", "--a", a, "--b", ZEROS) == {"exact": "2^-71"}
+    cone = json.dumps({"kind": "cone", "t": [0] * 70})
+    assert run_json(capsys, "member", "--set", cone, "--point", ZEROS) == {"member": True}
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "--a", ZEROS, "--b", ZEROS],
+    ["member", "--set", '{"kind":"cone","t":[]}', "--point", ZEROS],
+], ids=["dist", "member"])
+def test_dist_and_member_take_no_depth(capsys, argv):
+    code, out, err = run(capsys, *argv, "--depth", "5")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {"kind": "parse",
+                                        "message": "unrecognized arguments: --depth 5"}
 
 
 def test_meet_and_eps(capsys):
@@ -132,6 +154,44 @@ def test_recheck_refuses_the_flags_it_does_not_read(capsys, monkeypatch, flags, 
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == {
         "kind": "parse", "message": f"construct recheck reads only --trace, not {named}"}
+
+
+# op -> a flag of construct that the op does not read, and a value for it
+UNREAD = {"ramsey": ("--fn", "length"), "category": ("--eps", "1"), "continuity": ("--x", "0"),
+          "shrink": ("--root", "[]"), "stabilize": ("--values", "0"),
+          "disjointify": ("--selector-budget", "48"), "limit": ("--root", "[0]"),
+          "eps-split": ("--x", "1"), "shrink-or-discrete": ("--eps", "1"),
+          "avoid": ("--root", "[]"), "finite-avoid": ("--x", "0"),
+          "discrete-refine": ("--values", "1"), "classify": ("--trace", "-")}
+
+
+def test_every_op_has_a_refused_flag():
+    assert set(UNREAD) == {op.cli for op in registry.OPS.values() if op.cli}
+
+
+@pytest.mark.parametrize("op", sorted(UNREAD))
+def test_construct_refuses_the_flags_its_op_does_not_read(capsys, op):
+    flag, value = UNREAD[op]
+    code, out, err = run(capsys, "construct", op, "--depth", "1", flag, value)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "parse" and error["message"].startswith(f"construct {op} reads only ")
+    assert error["message"].endswith(f", not {flag}")
+
+
+def _bench_construct_argvs():
+    """The first construct command line the cli-calls workload builds for each op."""
+    argvs = {}
+    for _, kind, _, (argv, _) in cli_calls.ops(0):
+        if kind == "construct":
+            argvs.setdefault(argv[1], argv)
+            if len(argvs) == len(UNREAD):
+                return list(argvs.values())
+
+
+@pytest.mark.parametrize("argv", _bench_construct_argvs(), ids=lambda argv: argv[1])
+def test_construct_runs_the_command_lines_of_the_benchmark(capsys, argv):
+    assert "certificates" in run_json(capsys, *argv)
 
 
 def test_recheck_names_a_missing_certificate_field(capsys):

@@ -51,7 +51,7 @@ from seqstar.sequences import (
 from seqstar.serialize import ParseError, point_from_json
 from seqstar.trace import recheck
 
-BUDGET = DepthBudget(depth=48, branch=32, steps=2_000_000)
+BUDGET = DepthBudget(depth=48, steps=2_000_000)
 SCHED = weight_schedule()
 
 
@@ -337,11 +337,6 @@ LATE_ONES = _dyadic_function("late-ones", lambda p: Dyadic(int(p.seq[-1] >= 41))
 # samples are apart, never by more than two diameters.
 SPREAD = _dyadic_function("spread", lambda p: Dyadic(min(p.restrict(1).seq[0], 2), 1),
                           lambda t: Dyadic.one())
-# The first entry, with cone diameters pinned at 1: siblings 0 and 1 are
-# never more than two diameters apart, so the search deepens until the
-# depth budget stops it.
-FIRST_ENTRY = _dyadic_function("first-entry", lambda p: Dyadic(p.restrict(1).seq[0]),
-                               lambda t: Dyadic.one())
 # 1 at augmented points longer than 3, else 0: no depth-4 image is near its
 # infinite-part value, and every node of length <= 2 has a zero-valued
 # augmented point, which the infinite-part values reach at distance 0.
@@ -366,8 +361,6 @@ TAIL_GLUED = SpaceFunction(
      r"neither verdict certified at \(\)"),
     (lambda: disjointify(SPREAD, 1, 3, BUDGET), "disjointify",
      r"separation never dominates diameters below \(\)"),
-    (lambda: disjointify(FIRST_ENTRY, 1, 3, DepthBudget(depth=3)), "disjointify",
-     "prefix query 4 exceeds depth budget 3"),
     (lambda: limit_refine(LONG_AUGMENTED, SCHED, 4, 2, BUDGET), "limit_refine",
      "neither continuity nor separation certified"),
     (lambda: shrink_or_discrete(TAIL_GLUED, SCHED, 2, 2, BUDGET), "shrink_or_discrete",
@@ -378,7 +371,7 @@ TAIL_GLUED = SpaceFunction(
     (lambda: disjoint_refine(WIDE, PeriodicPoint((), (0,)), Dyadic(1), DepthBudget(depth=4)),
      "disjoint_refine", "no witness prefix with small enough image diameter"),
 ], ids=["stabilize-selector", "stabilize-no-verdict", "disjointify-never-dominates",
-        "disjointify-depth-budget", "limit-neither", "shrink-cone-diameter",
+        "limit-neither", "shrink-cone-diameter",
         "finite-avoid-neither", "disjoint-no-prefix"])
 def test_a_search_that_runs_out_names_its_stage(build, stage, message):
     with pytest.raises(BudgetExceeded, match=f"^{message}$") as info:

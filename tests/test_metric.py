@@ -194,10 +194,16 @@ def test_randomized_ultrametric_mixed():
 WIDE = DepthBudget(depth=200)
 
 
+def is_lazy(p):
+    return type(p) is InfinitePoint
+
+
 def split_by_restrict(a, b, budget):
-    """The least i with a|i != b|i, found by comparing restrictions."""
-    for i in range(1, budget.depth + 1):
-        if a.restrict(i, budget) != b.restrict(i, budget):
+    """The least i with a|i != b|i, found by comparing restrictions; the
+    budget caps the search only where a point is lazy."""
+    reach = budget if is_lazy(a) or is_lazy(b) else WIDE
+    for i in range(1, reach.depth + 1):
+        if a.restrict(i, reach) != b.restrict(i, reach):
             return i
     return Undetermined(budget.depth)
 
@@ -227,7 +233,8 @@ def written_again(p, unroll, reps):
 
 @st.composite
 def point_pairs(draw):
-    """Two points sharing a long run of coordinates (heads up to 70+)."""
+    """Two points sharing a long run of coordinates (heads up to 70+,
+    periods up to 9 long)."""
     base = draw(st.lists(st.integers(0, 2), max_size=70))
     entries = st.lists(st.integers(0, 2), max_size=3)
 
@@ -238,7 +245,7 @@ def point_pairs(draw):
             return FinitePoint(seq)
         if kind == "augmented":
             return AugmentedPoint(seq)
-        p = PeriodicPoint(seq, tuple(draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))))
+        p = PeriodicPoint(seq, tuple(draw(st.lists(st.integers(0, 2), min_size=1, max_size=9))))
         if kind == "lazy":
             return InfinitePoint(lambda i: p.restrict(i, WIDE).seq)
         return p
@@ -283,6 +290,14 @@ def test_split_index_and_distance_match_the_restriction_loop(pair, depth):
             assert phi.value_distance(x, y) == want == phi.value_distance(y, x)
 
 
+def test_periodic_points_split_within_the_fine_wilf_bound():
+    # (0 1 0 0 1)^ω and (0 1 0 0 1 0 1 0)^ω agree on 11 = 5 + 8 - gcd(5, 8) - 1
+    # coordinates, the most that distinct periods 5 and 8 allow.
+    a = PeriodicPoint((2,), (0, 1, 0, 0, 1))
+    b = PeriodicPoint((2,), (0, 1, 0, 0, 1, 0, 1, 0))
+    assert split_index(a, b, DepthBudget(depth=1)) == 13 == split_by_restrict(a, b, WIDE)
+
+
 @pytest.mark.parametrize("name", ["baire-identity", "compactify-identity"])
 def test_a_value_distance_to_the_budget_depth_is_not_a_distance(name):
     # Two oracles for one point agree to every depth; their distance is 0,
@@ -301,7 +316,7 @@ def test_distance_reads_presented_points_without_restricting_them(monkeypatch):
             return restrict(p, *args)
         return call
 
-    for cls in (FinitePoint, AugmentedPoint, InfinitePoint):
+    for cls in (FinitePoint, AugmentedPoint, InfinitePoint, PeriodicPoint):
         monkeypatch.setattr(cls, "restrict", counted(cls.restrict))
     head = (1, 0, 2) * 10
     points = [FinitePoint(()), AugmentedPoint(()), PeriodicPoint((), (0,)), FinitePoint(head),

@@ -49,10 +49,17 @@ def test_neighborhood_examples():
     assert n == ConeMinus((), 2)
 
 
+def test_neighborhood_of_a_presented_point_takes_no_budget():
+    # A diameter below 2^-80 needs a prefix, or a child index, past the default depth 64.
+    assert neighborhood_of(ZEROS, Dyadic(1, 80)) == Cone((0,) * 81)
+    assert neighborhood_of(AugmentedPoint(()), Dyadic(1, 80)) == ConeMinus((), 80)
+    with pytest.raises(ValueError, match="diameter below 0"):
+        neighborhood_of(ZEROS, Dyadic.zero())
+
+
 @pytest.mark.parametrize("p, budget", [
-    (AugmentedPoint(()), DepthBudget(branch=3)),  # child cones up to 3 weigh at most 4
     (InfinitePoint(lambda i: (0,) * i), DepthBudget(depth=5)),  # prefixes to depth 5 weigh at most 5
-], ids=["augmented", "lazy"])
+], ids=["lazy"])
 def test_neighborhood_beyond_the_budget_raises(p, budget):
     with pytest.raises(BudgetExceeded, match="no small enough basic set"):
         neighborhood_of(p, Dyadic(1, 6), budget=budget)
