@@ -12,7 +12,6 @@ from typing import Sequence
 
 from . import embeddings as emb  # a module reference: only embed_via loads it
 from .sequences import (
-    DEFAULT_BUDGET,
     AugmentedPoint,
     DepthBudget,
     DomainMismatch,
@@ -256,12 +255,12 @@ def embed_via(
 ) -> CertifiedPairing | Mismatch:
     """Check the commuting condition phi(extend(pi, p)) = psi(f(p)) on the
     samples, with psi induced from the observations; report the first
-    sample where psi fails to be well defined."""
-    budget = budget or DEFAULT_BUDGET
+    sample where psi fails to be well defined.  budget is not read: a lazy
+    extension is read no further than its own depth."""
     psi: dict = {}
     for p in sample_pairs:
         key = _value_key(evaluate(f, p))
-        val = phi.evaluate(emb.extend(pi, p, budget))
+        val = phi.evaluate(emb.extend(pi, p))
         if key in psi:
             if not phi.value_distance(psi[key], val).is_zero():
                 return Mismatch(p)

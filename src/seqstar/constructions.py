@@ -33,7 +33,7 @@ from .sequences import (
     weight,
 )
 from .embeddings import MeetEmbedding, Valid, validate
-from .registry import SHAPE_OF_VERDICT, SpaceFunction, TreeFamily, TreeSetOracle, compose_function
+from .registry import SpaceFunction, TreeFamily, TreeSetOracle, compose_function
 from .serialize import node_key, point_to_json, table_to_json, value_to_json
 
 Value = Any  # Dyadic or Point; equality/distance owned by the SpaceFunction
@@ -302,14 +302,13 @@ def ramsey_split(
     T: TreeSetOracle,
     out_depth: int,
     out_branch: int,
-    budget: DepthBudget | None = None,
+    budget: DepthBudget = DEFAULT_BUDGET,
 ) -> tuple[InT | InComplement, PartialEmbedding]:
     """Build a full table landing entirely inside T or entirely outside it.
 
     Both sides are attempted, T first; within a side, candidate roots are
     tried in canonical order, each with per-node word searches.
     """
-    budget = budget or DEFAULT_BUDGET
     pool = _word_pool(out_branch)
     roots = nodes_in_range(3, max(out_branch, 3))
 
@@ -336,7 +335,7 @@ def category_refine(
     s: Seq,
     out_depth: int,
     out_branch: int,
-    budget: DepthBudget | None = None,
+    budget: DepthBudget = DEFAULT_BUDGET,
 ) -> PartialEmbedding:
     """Table rooted in the cone at s with every length-n image in T_n."""
     return _level_refine("category_refine", family, s, out_depth, out_branch, budget)
@@ -347,7 +346,7 @@ def continuity_refine(
     s: Seq = (),
     out_depth: int = 3,
     out_branch: int = 3,
-    budget: DepthBudget | None = None,
+    budget: DepthBudget = DEFAULT_BUDGET,
 ) -> PartialEmbedding:
     """Refine along a dense-open presentation of a continuity set.
 
@@ -358,9 +357,8 @@ def continuity_refine(
 
 
 def _level_refine(op: str, family: TreeFamily, s: Seq, out_depth: int, out_branch: int,
-                  budget: DepthBudget | None) -> PartialEmbedding:
+                  budget: DepthBudget) -> PartialEmbedding:
     """category_refine's search, traced under op."""
-    budget = budget or DEFAULT_BUDGET
     levels = [family(n) for n in range(out_depth + 1)]
 
     def hint(start: Seq, u: Seq) -> Seq | None:
@@ -381,11 +379,10 @@ def diameter_shrink(
     schedule: EpsilonSchedule | None = None,
     out_depth: int = 3,
     out_branch: int = 3,
-    budget: DepthBudget | None = None,
+    budget: DepthBudget = DEFAULT_BUDGET,
 ) -> PartialEmbedding:
     """Table with cone_diameter(image of t) < epsilon_t for every node."""
     schedule = schedule or weight_schedule()
-    budget = budget or DEFAULT_BUDGET
     if phi.cone_diameter is None:
         raise DomainMismatch("diameter_shrink needs a cone_diameter oracle")
     table = _refine(lambda c, u: phi.cone_diameter(c) < schedule(u), [()], _word_pool(out_branch),
@@ -403,16 +400,16 @@ def children_stabilize(
     selector_budget: int = 48,
     out_depth: int = 2,
     out_branch: int = 3,
-    budget: DepthBudget | None = None,
+    budget: DepthBudget = DEFAULT_BUDGET,
 ) -> tuple[PartialEmbedding, dict[Seq, Convergent | Discrete]]:
     """Re-index children so the values at each node's augmented children
     form a certified convergent chain or a certified discrete family.
 
     Convergence is tested against the deepest probed child as candidate
     limit, with tolerances halving per step starting from 1; discreteness
-    by the largest power-of-two separation a greedy pick sustains.
+    by the largest power-of-two separation a greedy pick sustains.  budget
+    is not read; it stays for the signature the ops share.
     """
-    budget = budget or DEFAULT_BUDGET
     chain_len = max(out_branch, 8)
     if chain_len > selector_budget:
         raise BudgetExceeded("selector budget below required chain length",
@@ -466,7 +463,7 @@ def disjointify(
     phi: SpaceFunction,
     out_depth: int = 2,
     out_branch: int = 3,
-    budget: DepthBudget | None = None,
+    budget: DepthBudget = DEFAULT_BUDGET,
 ) -> PartialEmbedding:
     """Table whose sibling child cones carry values certified apart:
     dist(sample_i, sample_j) > diam_i + diam_j for all sibling pairs.  The
@@ -510,12 +507,11 @@ def limit_refine(
     schedule: EpsilonSchedule | None = None,
     out_depth: int = 2,
     out_branch: int = 3,
-    budget: DepthBudget | None = None,
+    budget: DepthBudget = DEFAULT_BUDGET,
 ) -> tuple[SeparatedClosure | ContinuousAtBaire, PartialEmbedding]:
     """Certify continuity at infinite points, or fall back to a uniform
     separation between infinite-part and augmented-part values."""
     schedule = schedule or weight_schedule()
-    budget = budget or DEFAULT_BUDGET
     steps = _Steps(budget.steps, "limit_refine")
     pool = _word_pool(out_branch)
     params = {"depth": out_depth, "branch": out_branch, "schedule": schedule.name}
@@ -555,7 +551,7 @@ def epsilon_discrete_or_ball(
     t: Seq = (),
     out_depth: int = 2,
     out_branch: int = 3,
-    budget: DepthBudget | None = None,
+    budget: DepthBudget = DEFAULT_BUDGET,
 ) -> tuple[DiscreteInjection | InsideBall, PartialEmbedding]:
     """Inject the range into an eps-discrete value set, or certify all
     values inside the eps-ball around one attained value.
@@ -567,7 +563,6 @@ def epsilon_discrete_or_ball(
     """
     if eps.is_zero():
         raise DomainMismatch("eps must be positive, got 0")
-    budget = budget or DEFAULT_BUDGET
     t = tuple(t)
     steps = _Steps(budget.steps, "epsilon_discrete_or_ball")
     pool = _word_pool(out_branch)
@@ -619,12 +614,11 @@ def shrink_or_discrete(
     schedule: EpsilonSchedule | None = None,
     out_depth: int = 2,
     out_branch: int = 3,
-    budget: DepthBudget | None = None,
+    budget: DepthBudget = DEFAULT_BUDGET,
 ) -> tuple[DiscreteInjection | DiameterToZero, PartialEmbedding]:
     """Discrete injection at unit scale, or a table whose per-cone value
     sets have diameter below the schedule, certified pairwise."""
     schedule = schedule or weight_schedule()
-    budget = budget or DEFAULT_BUDGET
     try:
         mode, pe = epsilon_discrete_or_ball(phi, Dyadic.one(), (), out_depth, out_branch, budget)
         if isinstance(mode, DiscreteInjection):
@@ -662,10 +656,9 @@ def shrink_or_discrete(
 def point_avoid(
     phi: SpaceFunction,
     x: Value,
-    budget: DepthBudget | None = None,
+    budget: DepthBudget = DEFAULT_BUDGET,
 ) -> tuple[Seq, PartialEmbedding]:
     """A node below which every sampled augmented value differs from x."""
-    budget = budget or DEFAULT_BUDGET
     steps = _Steps(budget.steps, "point_avoid")
     words = nodes_in_range(2, 4)
     for s in nodes_in_range(3, 4):
@@ -687,11 +680,10 @@ def finite_avoid_or_converge(
     t: Seq = (),
     out_depth: int = 2,
     out_branch: int = 3,
-    budget: DepthBudget | None = None,
+    budget: DepthBudget = DEFAULT_BUDGET,
 ) -> tuple[ConvergesToMember | ClosureAvoidsF, PartialEmbedding]:
     """Converge to a member of the finite value set F, or certify a uniform
     positive separation from all of F below some extension of t."""
-    budget = budget or DEFAULT_BUDGET
     schedule = weight_schedule()
     t = tuple(t)
     pool = _word_pool(out_branch)
@@ -735,12 +727,11 @@ def discrete_refine(
     schedule: EpsilonSchedule | None = None,
     out_depth: int = 2,
     out_branch: int = 3,
-    budget: DepthBudget | None = None,
+    budget: DepthBudget = DEFAULT_BUDGET,
 ) -> tuple[GlobalConvergence | PairwiseAvoidance, PartialEmbedding]:
     """All values converge to one limit, or earlier nodes' augmented values
     stay positively separated from everything sampled below later nodes."""
     schedule = schedule or weight_schedule()
-    budget = budget or DEFAULT_BUDGET
     pool = _word_pool(out_branch)
     steps = _Steps(budget.steps, "discrete_refine")
     params = {"depth": out_depth, "branch": out_branch, "schedule": schedule.name}
@@ -796,16 +787,19 @@ def discrete_refine(
                                       out_branch, function=phi.spec, mode="PairwiseAvoidance")
 
 
+_WITNESS_DEPTH = 64  # the most witness coordinates disjoint_refine reads
+
+
 def disjoint_refine(
     phi: SpaceFunction,
     witness: Point,
     delta: Dyadic,
-    budget: DepthBudget | None = None,
+    budget: DepthBudget = DEFAULT_BUDGET,
 ) -> PartialEmbedding:
-    """Prefix embedding at an initial segment of the witness whose cone has
-    image diameter below delta/3, separating the infinite-part values from
-    the augmented-part samples."""
-    budget = budget or DEFAULT_BUDGET
+    """Prefix embedding at an initial segment of the witness, at most
+    _WITNESS_DEPTH long, whose cone has image diameter below delta/3,
+    separating the infinite-part values from the augmented-part samples.
+    budget is not read."""
     if phi.cone_diameter is None:
         raise DomainMismatch("disjoint_refine needs a cone_diameter oracle")
     third = Dyadic(delta.num, delta.exp + 2)  # delta/4 <= delta/3, still positive
@@ -818,8 +812,11 @@ def disjoint_refine(
                 f"witness separation fails: augmented sample at {u} is at distance {d} < {delta}",
                 stage="disjoint_refine")
     s = None
-    for i in range(budget.depth + 1):
-        pre = witness.restrict(i, budget)
+    for i in range(_WITNESS_DEPTH + 1):
+        try:
+            pre = witness.restrict(i)
+        except BudgetExceeded:  # a lazy witness read past its own depth
+            break
         if pre.marked:
             break
         if phi.cone_diameter(pre.seq) < third:
@@ -836,16 +833,20 @@ def disjoint_refine(
                  function=phi.spec, witness=point_to_json(witness), s=list(s))
 
 
+# The shape classify_baire_function reports when every child verdict is of one
+# class; registry.SHAPE_OF_VERDICT holds the same pairs by name, for recheck.
+_SHAPE_OF_VERDICT = {Convergent: EmbedsIntoBaireStar, Discrete: EmbedsIntoBaire}
+
+
 def classify_baire_function(
     phi: SpaceFunction,
     out_depth: int = 2,
     out_branch: int = 3,
-    budget: DepthBudget | None = None,
+    budget: DepthBudget = DEFAULT_BUDGET,
 ) -> tuple[Constant | EmbedsIntoBaire | EmbedsIntoBaireStar, PartialEmbedding]:
     """Trichotomy pipeline: constant-region probe, then diameter shrinking,
     child stabilization (uniform verdict required), and disjointification,
     with the composite table and all stage traces as evidence."""
-    budget = budget or DEFAULT_BUDGET
     params = {"depth": out_depth, "branch": out_branch}
     probes = [PeriodicPoint(t, (0,)) for t in nodes_in_range(2, 3)[:9]]
     values = [phi.evaluate(p) for p in probes]
@@ -858,11 +859,11 @@ def classify_baire_function(
     st1 = diameter_shrink(phi, None, out_depth, out_branch, budget)
     phi1 = compose_function(phi, st1.table)
     st2, verdicts = children_stabilize(phi1, 48, out_depth, out_branch, budget)
-    kinds = {type(v).__name__ for v in verdicts.values()}
+    kinds = {v.__class__ for v in verdicts.values()}
     if len(kinds) != 1:
         raise BudgetExceeded("mixed child verdicts; no uniform shape certified",
                              stage="classify_baire_function")
-    shape = globals()[SHAPE_OF_VERDICT[kinds.pop()]]()
+    shape = _SHAPE_OF_VERDICT[kinds.pop()]()
     phi2 = compose_function(phi1, st2.table)
     st3 = disjointify(phi2, out_depth, out_branch, budget)
 

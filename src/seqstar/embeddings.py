@@ -14,10 +14,7 @@ import functools
 from typing import Callable, Mapping
 
 from .sequences import (
-    DEFAULT_BUDGET,
     AugmentedPoint,
-    BudgetExceeded,
-    DepthBudget,
     FinitePoint,
     Frozen,
     InfinitePoint,
@@ -294,13 +291,15 @@ def amalgamate(family: EmbeddingFamily, depth: int, branch: int) -> MeetEmbeddin
     return amalgam
 
 
-def extend(pi: MeetEmbedding, p: Point, budget: DepthBudget | None = None) -> Point:
+def extend(pi: MeetEmbedding, p: Point) -> Point:
     """The unique continuous extension of pi to the compactified space.
 
     A periodic point has an exact periodic image when pi copies coordinates
-    past a finite depth; other infinite points are extended lazily.
+    past a finite depth.  Other infinite points are extended lazily, to an
+    InfinitePoint as deep as a lazy p, or of the default depth for a
+    periodic p.  A node of length i has an image at least i long, so reading
+    the image to k reads at most k coordinates of p.
     """
-    budget = budget or DEFAULT_BUDGET
     if isinstance(p, FinitePoint):
         return FinitePoint(pi.apply(p.seq))
     if isinstance(p, AugmentedPoint):
@@ -317,16 +316,16 @@ def extend(pi: MeetEmbedding, p: Point, budget: DepthBudget | None = None) -> Po
 
     def prefix_fn(k: int) -> Seq:
         nonlocal deepest
-        i, img = deepest or (0, pi.apply(p.restrict(0, budget).seq))
+        i, img = deepest or (0, pi.apply(p.restrict(0).seq))
         while len(img) < k:
             i += 1
-            if i > budget.steps or i > budget.depth:
-                raise BudgetExceeded(f"extension prefix {k} not reached within budget")
-            img = pi.apply(p.restrict(i, budget).seq)
+            img = pi.apply(p.restrict(i).seq)
             deepest = i, img
         return img[:k]
 
-    return InfinitePoint(prefix_fn, label=f"pi^({p!r})")
+    if isinstance(p, PeriodicPoint):
+        return InfinitePoint(prefix_fn, label=f"pi^({p!r})")
+    return InfinitePoint(prefix_fn, label=f"pi^({p!r})", depth=p.depth)
 
 
 class Empty(Frozen):

@@ -8,8 +8,6 @@ from __future__ import annotations
 import re
 
 from .sequences import (
-    DEFAULT_BUDGET,
-    DepthBudget,
     Frozen,
     Point,
     Seq,
@@ -180,27 +178,24 @@ class Bounded(Frozen):
 DistanceResult = Exact | Bounded
 
 
-def distance(a: Point, b: Point, budget: DepthBudget | None = None) -> DistanceResult:
+def distance(a: Point, b: Point) -> DistanceResult:
     """The ultrametric distance 2^-w, w the split weight of a and b (see
     split_and_weight); zero on equal points.  Exact on finitely presented
-    points; Bounded where a lazy point agrees with the other to the budget
-    depth."""
+    points; Bounded where the points agree up to the lazy point's own depth."""
     if a == b:
         return Exact(Dyadic.zero())
-    s = split_and_weight(a, b, budget)
+    s = split_and_weight(a, b)
     if s.__class__ is Undetermined:
-        return Bounded(radius(a.restrict(s.depth, budget).seq))
+        return Bounded(radius(a.restrict(s.depth).seq))
     return Exact(Dyadic(1, s[1]))
 
 
-def ball_member(
-    center: Point, radius: Dyadic, p: Point, budget: DepthBudget | None = None
-) -> bool | Undetermined:
-    """Membership of p in the open ball around center; Undetermined when a
-    bounded distance does not settle it."""
-    d = distance(center, p, budget)
+def ball_member(center: Point, radius: Dyadic, p: Point) -> bool | Undetermined:
+    """Membership of p in the open ball around center; where a bounded
+    distance does not settle it, the Undetermined of split_and_weight."""
+    d = distance(center, p)
     if isinstance(d, Exact):
         return d.value < radius
     if d.upper < radius:
         return True
-    return Undetermined((budget or DEFAULT_BUDGET).depth)
+    return split_and_weight(center, p)

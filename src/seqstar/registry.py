@@ -149,15 +149,15 @@ _POINT_CLASSES = {FinitePoint, AugmentedPoint, PeriodicPoint, InfinitePoint}
 
 def _split(a: Point, b: Point) -> tuple[int, int] | None:
     """split_and_weight of two point values, None when they are equal.  Two
-    points that agree to the budget depth have no distance to read."""
+    points that agree as far as a lazy one may be read have no distance to
+    read."""
     if a.__class__ not in _POINT_CLASSES or b.__class__ not in _POINT_CLASSES:
         _check_kind(a, b, Point)
     if a == b:
         return None
     s = split_and_weight(a, b)
     if s.__class__ is Undetermined:
-        raise BudgetExceeded(f"value distance undetermined: the points agree to the "
-                             f"depth budget {s.depth}")
+        raise BudgetExceeded(f"value distance undetermined: the points agree to depth {s.depth}")
     return s
 
 

@@ -93,14 +93,14 @@ class Frozen(Record):
 
 
 class DepthBudget(Frozen):
-    """Caps on how far lazy points may be read and searches may run."""
+    """The step allowance of a construction's searches.  How far a lazy
+    point may be read is the point's own depth (see InfinitePoint)."""
 
-    __slots__ = ("depth", "steps")
+    __slots__ = ("steps",)
 
-    def __init__(self, depth: int = 64, steps: int = 100_000):
-        if depth <= 0 or steps <= 0:
-            raise ValueError("budget components must be positive")
-        set_field(self, "depth", depth)
+    def __init__(self, steps: int = 100_000):
+        if steps <= 0:
+            raise ValueError("steps must be positive")
         set_field(self, "steps", steps)
 
 
@@ -153,7 +153,7 @@ class Point:
 
     __slots__ = ()
 
-    def restrict(self, i: int, budget: DepthBudget | None = None) -> Prefix:
+    def restrict(self, i: int) -> Prefix:
         raise NotImplementedError
 
 
@@ -171,7 +171,7 @@ class FinitePoint(Point, Frozen):
     def __hash__(self):
         return hash((self.seq,))
 
-    def restrict(self, i: int, budget: DepthBudget | None = None) -> Prefix:
+    def restrict(self, i: int) -> Prefix:
         return Prefix(self.seq[:i])
 
     def __repr__(self):
@@ -194,7 +194,7 @@ class AugmentedPoint(Point, Frozen):
     def __hash__(self):
         return hash((self.seq,))
 
-    def restrict(self, i: int, budget: DepthBudget | None = None) -> Prefix:
+    def restrict(self, i: int) -> Prefix:
         if i <= len(self.seq):
             return Prefix(self.seq[:i])
         return Prefix(self.seq, marked=True)
@@ -204,16 +204,20 @@ class AugmentedPoint(Point, Frozen):
 
 
 class InfinitePoint(Point):
-    """An infinite sequence presented by a pure prefix oracle i -> b|i."""
+    """An infinite sequence presented by a pure prefix oracle i -> b|i, which
+    is asked for at most ``depth`` coordinates: restrict raises
+    BudgetExceeded past them."""
 
-    def __init__(self, prefix_fn: Callable[[int], Seq], label: str = ""):
+    def __init__(self, prefix_fn: Callable[[int], Seq], label: str = "", depth: int = 64):
+        if depth <= 0:
+            raise ValueError("depth must be positive")
         self._prefix_fn = prefix_fn
         self.label = label
+        self.depth = depth
 
-    def restrict(self, i: int, budget: DepthBudget | None = None) -> Prefix:
-        budget = budget or DEFAULT_BUDGET
-        if i > budget.depth:
-            raise BudgetExceeded(f"prefix query {i} exceeds depth budget {budget.depth}")
+    def restrict(self, i: int) -> Prefix:
+        if i > self.depth:
+            raise BudgetExceeded(f"prefix query {i} exceeds depth {self.depth}")
         p = self._prefix_fn(i)
         if len(p) != i:
             raise ValueError(f"prefix oracle returned length {len(p)} for query {i}")
@@ -245,8 +249,8 @@ class PeriodicPoint(InfinitePoint):
         self.head = head[:j]
         self.period = period[r:m] + period[:r]
 
-    def restrict(self, i: int, budget: DepthBudget | None = None) -> Prefix:
-        """p|i, read off the presentation; no budget applies."""
+    def restrict(self, i: int) -> Prefix:
+        """p|i, read off the presentation, at any depth."""
         return Prefix(self._prefix(i))
 
     def _prefix(self, i: int) -> Seq:
@@ -268,8 +272,8 @@ class PeriodicPoint(InfinitePoint):
         return f"InfinitePoint({list(self.head)}+{list(self.period)}*)"
 
 
-def restrict(p: Point, i: int, budget: DepthBudget | None = None) -> Prefix:
-    return p.restrict(i, budget)
+def restrict(p: Point, i: int) -> Prefix:
+    return p.restrict(i)
 
 
 # How a finitely presented point goes on past its coordinates: a finite
@@ -280,25 +284,26 @@ _FINITE, _MARKED, _PERIODIC = "finite", "marked", "periodic"
 _GOES_ON = {FinitePoint: _FINITE, AugmentedPoint: _MARKED, PeriodicPoint: _PERIODIC}
 
 
-def split_and_weight(a: Point, b: Point,
-                     budget: DepthBudget | None = None) -> tuple[int, int] | Undetermined:
+def split_and_weight(a: Point, b: Point) -> tuple[int, int] | Undetermined:
     """The split index i of a and b, the least i with a|i != b|i, and the
     split weight w, the least weight of a|i and b|i over those that lie in
-    the tree; Undetermined on equal points, and where a lazy point agrees to the budget depth.
+    the tree.  Undetermined, of the number of coordinates compared, on equal
+    points, and where the points agree as far as the shallower lazy one of
+    them may be read.
 
     Finitely presented points are read off their coordinates in one walk.
     With k = i - 1 common coordinates of sum S, w is the least over the two
     sides of i + S + x[k] where that side has a coordinate x[k], and of
     k + S where a finite point ends; an augmented point that ends there
     adds nothing, as its restriction carries the marker."""
-    budget = budget or DEFAULT_BUDGET
     ea, eb = _GOES_ON.get(a.__class__), _GOES_ON.get(b.__class__)
     if ea is None or eb is None:
-        for i in range(1, budget.depth + 1):
-            ra, rb = a.restrict(i, budget), b.restrict(i, budget)
+        depth = min(p.depth for p in (a, b) if p.__class__ not in _GOES_ON)
+        for i in range(1, depth + 1):
+            ra, rb = a.restrict(i), b.restrict(i)
             if ra != rb:
                 return i, min(weight(r.seq) for r in (ra, rb) if not r.marked)
-        return Undetermined(budget.depth)
+        return Undetermined(depth)
     if ea is _PERIODIC or eb is _PERIODIC:
         # A periodic point shows only the coordinates that can split it from
         # the other point: one past a finite or augmented point's end, or,
@@ -325,21 +330,21 @@ def split_and_weight(a: Point, b: Point,
     # coordinate there or ends another way, unless both end alike, and then
     # the points are equal.
     if len(sa) == len(sb) and ea is eb:
-        return Undetermined(budget.depth)
+        return Undetermined(n)
     if (len(sa) == n and ea is _FINITE) or (len(sb) == n and eb is _FINITE):
         return n + 1, n + sum(sa[:n])  # a finite point ends here
     return n + 1, n + 1 + sum(sa[:n]) + (sa[n] if len(sa) > n else sb[n])
 
 
-def split_index(a: Point, b: Point, budget: DepthBudget | None = None) -> int | Undetermined:
+def split_index(a: Point, b: Point) -> int | Undetermined:
     """Least i with a|i != b|i, or Undetermined as split_and_weight gives it."""
-    s = split_and_weight(a, b, budget)
+    s = split_and_weight(a, b)
     return s if s.__class__ is Undetermined else s[0]
 
 
-def cone_member(t: Seq, p: Point, budget: DepthBudget | None = None) -> bool:
+def cone_member(t: Seq, p: Point) -> bool:
     """True iff t is an initial segment of p."""
-    r = p.restrict(len(t), budget)
+    r = p.restrict(len(t))
     return not r.marked and r.seq == t if len(r.seq) == len(t) else False
 
 

@@ -13,10 +13,7 @@ import itertools
 from typing import Iterator
 
 from .sequences import (
-    DEFAULT_BUDGET,
     AugmentedPoint,
-    BudgetExceeded,
-    DepthBudget,
     FinitePoint,
     Frozen,
     PeriodicPoint,
@@ -47,18 +44,20 @@ class ConeMinus(Frozen):
 BasicClopen = Singleton | Cone | ConeMinus
 
 
-def basic_member(B: BasicClopen, p: Point, budget: DepthBudget | None = None) -> bool:
-    """Exact on finitely presented points; lazy ones are read to the budget depth."""
+def basic_member(B: BasicClopen, p: Point) -> bool:
+    """Membership of p in B, exact on every point; a lazy point is read no
+    further than the longest node B mentions, and raises BudgetExceeded
+    where that is past its own depth."""
     if isinstance(B, Singleton):
         return isinstance(p, FinitePoint) and p.seq == B.t
     if isinstance(B, Cone):
-        return cone_member(B.t, p, budget)
-    if not cone_member(B.t, p, budget):
+        return cone_member(B.t, p)
+    if not cone_member(B.t, p):
         return False
     if isinstance(p, FinitePoint) and p.seq == B.t:
         return False
     for j in range(B.i):
-        if cone_member(B.t + (j,), p, budget):
+        if cone_member(B.t + (j,), p):
             return False
     return True
 
@@ -174,9 +173,10 @@ def uncovered_descent(family: list[BasicClopen]) -> Point:
                  if not _cone_covered(family, t + (j,), letters, memo))
 
 
-def neighborhood_of(p: Point, eps: Dyadic, budget: DepthBudget | None = None) -> BasicClopen:
+def neighborhood_of(p: Point, eps: Dyadic) -> BasicClopen:
     """A basic set containing p of metric diameter below eps > 0; each step
-    at least halves the radius, and only a lazy point stops at the budget depth."""
+    at least halves the radius.  A lazy point raises BudgetExceeded where
+    the set needs a prefix past its own depth."""
     if eps.is_zero():
         raise ValueError("no basic set has diameter below 0")
     if isinstance(p, FinitePoint):
@@ -186,10 +186,7 @@ def neighborhood_of(p: Point, eps: Dyadic, budget: DepthBudget | None = None) ->
         while not radius(p.seq + (i,)) < eps:
             i += 1
         return ConeMinus(p.seq, i)
-    budget = budget or DEFAULT_BUDGET
     for i in itertools.count():
-        if i > budget.depth and not isinstance(p, PeriodicPoint):
-            raise BudgetExceeded(f"no small enough basic set within budget {budget}")
-        prefix = p.restrict(i, budget).seq
+        prefix = p.restrict(i).seq
         if radius(prefix) < eps:
             return Cone(prefix)

@@ -52,7 +52,7 @@ from seqstar.topology import Cone, ConeMinus, Counterexample, Covers, Singleton,
 from seqstar.trace import recheck
 
 SCHED = weight_schedule()
-BUDGET = DepthBudget(depth=48, steps=5_000_000)
+BUDGET = DepthBudget(steps=5_000_000)
 
 
 def criterion(num, title, limit_s):

@@ -30,7 +30,7 @@ from seqstar.embeddings import MeetEmbedding
 from seqstar.registry import space_function
 from seqstar.sequences import AugmentedPoint, DepthBudget, DomainMismatch, FinitePoint, PeriodicPoint
 
-BUDGET = DepthBudget(depth=48, steps=1_000_000)
+BUDGET = DepthBudget(steps=1_000_000)
 
 
 def test_counts():

@@ -314,8 +314,8 @@ FINITE_ROOT = '{"kind":"finite","seq":[]}'
     ["embed", "compose", "--pi", '{"kind":"identity"}'],
     ["catalog", "eval", "--set", "a", "--fn", "0"],
     ["catalog", "list", "--set", "c"],
-    ["dist", "--a", FINITE_ROOT, "--b", FINITE_ROOT, "--depth", "0"],
-    ["member", "--set", '{"kind":"cone","t":[]}', "--point", FINITE_ROOT, "--depth", "-1"],
+    ["embed", "check", "--pi", '{"kind":"identity"}', "--depth", "0"],
+    ["construct", "shrink", "--depth", "-1"],
     ["embed", "check", "--pi", '{"kind":"identity"}', "--branch", "x"],
     ["construct", "shrink", "--steps", "0"],
     ["catalog", "check-embed", "--fn", "9", "--pi", '{"kind":"identity"}', "--samples", "0"],

@@ -37,21 +37,36 @@ from seqstar.constructions import (
     ramsey_split,
     shrink_or_discrete,
 )
-from seqstar.constructions import _LOCAL_CAP, _SearchFailed, _Steps, _find, _word_pool
+from seqstar.constructions import (
+    _LOCAL_CAP,
+    _SHAPE_OF_VERDICT,
+    _SearchFailed,
+    _Steps,
+    _find,
+    _word_pool,
+)
 from seqstar.embeddings import Valid, validate
 from seqstar.metric import Dyadic, weight_schedule
-from seqstar.registry import FUNCTIONS, SpaceFunction, space_function, tree_family, tree_set
+from seqstar.registry import (
+    FUNCTIONS,
+    SHAPE_OF_VERDICT,
+    SpaceFunction,
+    space_function,
+    tree_family,
+    tree_set,
+)
 from seqstar.sequences import (
     AugmentedPoint,
     BudgetExceeded,
     DepthBudget,
     DomainMismatch,
+    InfinitePoint,
     PeriodicPoint,
 )
 from seqstar.serialize import ParseError, point_from_json
 from seqstar.trace import recheck
 
-BUDGET = DepthBudget(depth=48, steps=2_000_000)
+BUDGET = DepthBudget(steps=2_000_000)
 SCHED = weight_schedule()
 
 
@@ -368,11 +383,13 @@ TAIL_GLUED = SpaceFunction(
     (lambda: finite_avoid_or_converge(space_function("entry-sum"), [Dyadic(k) for k in range(32)],
                                       (), 2, 2, BUDGET), "finite_avoid_or_converge",
      "neither convergence nor avoidance certified"),
-    (lambda: disjoint_refine(WIDE, PeriodicPoint((), (0,)), Dyadic(1), DepthBudget(depth=4)),
+    (lambda: disjoint_refine(WIDE, PeriodicPoint((), (0,)), Dyadic(1)),
+     "disjoint_refine", "no witness prefix with small enough image diameter"),
+    (lambda: disjoint_refine(WIDE, InfinitePoint(lambda i: (0,) * i, depth=4), Dyadic(1)),
      "disjoint_refine", "no witness prefix with small enough image diameter"),
 ], ids=["stabilize-selector", "stabilize-no-verdict", "disjointify-never-dominates",
         "limit-neither", "shrink-cone-diameter",
-        "finite-avoid-neither", "disjoint-no-prefix"])
+        "finite-avoid-neither", "disjoint-no-prefix", "disjoint-no-prefix-lazy"])
 def test_a_search_that_runs_out_names_its_stage(build, stage, message):
     with pytest.raises(BudgetExceeded, match=f"^{message}$") as info:
         build()
@@ -389,6 +406,11 @@ def test_classifier_trichotomy():
     shape, pe = classify_baire_function(space_function("compactify-identity"), budget=BUDGET)
     assert isinstance(shape, EmbedsIntoBaireStar)
     assert_good(pe)
+
+
+def test_the_shape_tables_agree():
+    # classify_baire_function reads the classes, recheck the names.
+    assert {v.__name__: s.__name__ for v, s in _SHAPE_OF_VERDICT.items()} == SHAPE_OF_VERDICT
 
 
 def _drop_stages(trace):

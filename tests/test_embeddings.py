@@ -22,7 +22,6 @@ from seqstar.embeddings import (
 from seqstar.sequences import (
     AugmentedPoint,
     BudgetExceeded,
-    DepthBudget,
     FinitePoint,
     InfinitePoint,
     PeriodicPoint,
@@ -247,22 +246,30 @@ def test_the_lazy_extension_walk_resumes_where_it_stopped(monkeypatch, depth):
 
     monkeypatch.setattr(MeetEmbedding, "apply", counted)
     zeros = PeriodicPoint((), (0,))
-    lazy = extend(MeetEmbedding.from_node_map(lambda t: t), zeros)
-    assert split_index(lazy, zeros, DepthBudget(depth=depth)) == Undetermined(depth)
+    lazy = extend(MeetEmbedding.from_node_map(lambda t: t),
+                  InfinitePoint(lambda i: (0,) * i, depth=depth))
+    assert split_index(lazy, zeros) == Undetermined(depth)
     assert calls == 2 * depth + 1
 
 
-@pytest.mark.parametrize("budget", [DepthBudget(depth=8), DepthBudget(steps=8)])
-def test_the_lazy_extension_walk_stops_at_its_budget(budget):
-    # pi doubles each coordinate, so p|i has an image of length 2i.
+def test_the_lazy_extension_stops_at_its_input_depth():
+    # pi doubles each coordinate, so p|i has an image of length 2i; the
+    # image is read no further than the input's depth all the same.
     pi = MeetEmbedding.from_node_map(lambda t: tuple(x for c in t for x in (c, c)))
-    lazy = extend(pi, PeriodicPoint((), (1,)), budget)
-    wide = DepthBudget(depth=100)
-    assert restrict(lazy, 16, wide).seq == (1,) * 16
-    assert restrict(lazy, 3, wide).seq == (1,) * 3
-    with pytest.raises(BudgetExceeded, match="extension prefix 17 not reached"):
-        restrict(lazy, 17, wide)
-    assert restrict(lazy, 15, wide).seq == (1,) * 15
+    lazy = extend(pi, InfinitePoint(lambda i: (1,) * i, depth=8))
+    assert restrict(lazy, 8).seq == (1,) * 8
+    assert restrict(lazy, 3).seq == (1,) * 3
+    with pytest.raises(BudgetExceeded, match="prefix query 9 exceeds depth 8"):
+        restrict(lazy, 9)
+    assert restrict(lazy, 7).seq == (1,) * 7
+
+
+def test_a_periodic_point_under_a_rule_only_embedding_extends_to_the_default_depth():
+    lazy = extend(MeetEmbedding.from_node_map(lambda t: t), PeriodicPoint((), (1,)))
+    assert lazy.depth == 64
+    assert restrict(lazy, 64).seq == (1,) * 64
+    with pytest.raises(BudgetExceeded, match="prefix query 65 exceeds depth 64"):
+        restrict(lazy, 65)
 
 
 def test_composition_extension_law():

@@ -8,10 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from seqstar.metric import Bounded, Dyadic, Exact, ball_member, distance, weight_schedule
 from seqstar.registry import FUNCTIONS
 from seqstar.sequences import (
-    DEFAULT_BUDGET,
     AugmentedPoint,
     BudgetExceeded,
-    DepthBudget,
     FinitePoint,
     InfinitePoint,
     PeriodicPoint,
@@ -128,11 +126,26 @@ def test_distance_infinite_points_equal_periodic():
 
 
 def test_distance_infinite_budget_gives_bound():
-    ones = InfinitePoint(lambda i: (1,) * i)
-    also_ones = InfinitePoint(lambda i: (1,) * i)
-    r = distance(ones, also_ones, DepthBudget(depth=6, steps=50))
-    assert isinstance(r, Bounded)
-    assert r.upper > Dyadic.zero()
+    ones = InfinitePoint(lambda i: (1,) * i, depth=6)
+    also_ones = InfinitePoint(lambda i: (1,) * i, depth=6)
+    assert distance(ones, also_ones) == Bounded(Dyadic(1, 12))
+
+
+def test_a_lazy_pair_is_read_to_the_shallower_depth():
+    a = InfinitePoint(lambda i: (1,) * i, depth=5)
+    b = InfinitePoint(lambda i: (1,) * i, depth=9)
+    assert split_index(a, b) == split_index(b, a) == Undetermined(5)
+    assert split_index(b, PeriodicPoint((), (1,))) == Undetermined(9)
+    assert distance(b, a) == Bounded(Dyadic(1, 10))
+    assert ball_member(b, Dyadic(1, 10), a) == Undetermined(5)
+
+
+def test_equal_presented_points_are_undetermined_to_the_coordinates_compared():
+    assert split_index(FinitePoint((1, 2)), FinitePoint((1, 2))) == Undetermined(2)
+    assert split_index(AugmentedPoint(()), AugmentedPoint(())) == Undetermined(0)
+    # one head coordinate, then 2 + 2 - gcd(2, 2) of the period (0 1)
+    a, b = PeriodicPoint((3,), (0, 1)), PeriodicPoint((3, 0, 1), (0, 1))
+    assert split_index(a, b) == Undetermined(3)
 
 
 def test_singleton_equals_small_ball():
@@ -149,11 +162,10 @@ def test_singleton_equals_small_ball():
 
 def test_ball_member_on_a_bounded_distance():
     # Two lazy points agreeing to depth 6: the distance is at most 2^-12.
-    ones = InfinitePoint(lambda i: (1,) * i)
-    also_ones = InfinitePoint(lambda i: (1,) * i)
-    budget = DepthBudget(depth=6, steps=50)
-    assert ball_member(ones, Dyadic(1, 11), also_ones, budget=budget) is True
-    assert ball_member(ones, Dyadic(1, 12), also_ones, budget=budget) == Undetermined(6)
+    ones = InfinitePoint(lambda i: (1,) * i, depth=6)
+    also_ones = InfinitePoint(lambda i: (1,) * i, depth=6)
+    assert ball_member(ones, Dyadic(1, 11), also_ones) is True
+    assert ball_member(ones, Dyadic(1, 12), also_ones) == Undetermined(6)
 
 
 def test_exhaustive_ultrametric_small():
@@ -191,30 +203,36 @@ def test_randomized_ultrametric_mixed():
 
 # --- split index and distance against the restriction loop ---------------
 
-WIDE = DepthBudget(depth=200)
+WIDE = 200  # coordinates past every split of two presented points that point_pairs draws
 
 
 def is_lazy(p):
     return type(p) is InfinitePoint
 
 
-def split_by_restrict(a, b, budget):
-    """The least i with a|i != b|i, found by comparing restrictions; the
-    budget caps the search only where a point is lazy."""
-    reach = budget if is_lazy(a) or is_lazy(b) else WIDE
-    for i in range(1, reach.depth + 1):
-        if a.restrict(i, reach) != b.restrict(i, reach):
+def at_depth(p, depth):
+    """p, a lazy p read through another oracle of the given depth."""
+    return InfinitePoint(lambda i: p.restrict(i).seq, depth=depth) if is_lazy(p) else p
+
+
+def split_by_restrict(a, b):
+    """The least i with a|i != b|i, found by comparing restrictions as far
+    as the shallower lazy point may be read; Undetermined of that depth where
+    they agree that far, None where two presented points agree to WIDE."""
+    lazy = [p.depth for p in (a, b) if is_lazy(p)]
+    for i in range(1, min(lazy, default=WIDE) + 1):
+        if a.restrict(i) != b.restrict(i):
             return i
-    return Undetermined(budget.depth)
+    return Undetermined(min(lazy)) if lazy else None
 
 
-def distance_by_restrict(a, b, budget):
+def distance_by_restrict(a, b):
     if a == b:
         return Exact(Dyadic.zero())
-    i = split_by_restrict(a, b, budget)
+    i = split_by_restrict(a, b)
     if isinstance(i, Undetermined):
-        return Bounded(SCHED(a.restrict(i.depth, budget).seq))
-    rs = [p.restrict(i, budget) for p in (a, b)]
+        return Bounded(SCHED(a.restrict(i.depth).seq))
+    rs = [p.restrict(i) for p in (a, b)]
     return Exact(max(SCHED(r.seq) for r in rs if not r.marked))
 
 
@@ -224,17 +242,17 @@ def written_again(p, unroll, reps):
     another oracle, a finite or augmented point as a fresh copy."""
     if isinstance(p, PeriodicPoint):
         k = unroll % len(p.period)
-        head = p.restrict(len(p.head) + unroll, WIDE).seq
+        head = p.restrict(len(p.head) + unroll).seq
         return PeriodicPoint(head, (p.period[k:] + p.period[:k]) * reps)
     if isinstance(p, InfinitePoint):
-        return InfinitePoint(lambda i: p.restrict(i, WIDE).seq)
+        return at_depth(p, p.depth)
     return type(p)(tuple(list(p.seq)))
 
 
 @st.composite
 def point_pairs(draw):
     """Two points sharing a long run of coordinates (heads up to 70+,
-    periods up to 9 long)."""
+    periods up to 9 long); lazy points have the default depth 64."""
     base = draw(st.lists(st.integers(0, 2), max_size=70))
     entries = st.lists(st.integers(0, 2), max_size=3)
 
@@ -247,7 +265,7 @@ def point_pairs(draw):
             return AugmentedPoint(seq)
         p = PeriodicPoint(seq, tuple(draw(st.lists(st.integers(0, 2), min_size=1, max_size=9))))
         if kind == "lazy":
-            return InfinitePoint(lambda i: p.restrict(i, WIDE).seq)
+            return InfinitePoint(lambda i: p.restrict(i).seq)
         return p
 
     a = point()
@@ -258,14 +276,14 @@ def point_pairs(draw):
 
 def value_distance_by_restrict(name, x, y):
     """FUNCTIONS[name].value_distance of two point values, from the
-    restriction loop at the default budget; None where the values agree to
-    its depth, and no distance can be read."""
-    d = distance_by_restrict(x, y, DEFAULT_BUDGET)
+    restriction loop; None where the values agree as far as a lazy one may
+    be read, and no distance can be read."""
+    d = distance_by_restrict(x, y)
     if isinstance(d, Bounded):
         return None
     if name != "baire-identity" or d.value.is_zero():
         return d.value
-    return Dyadic(1, split_by_restrict(x, y, DEFAULT_BUDGET) - 1)
+    return Dyadic(1, split_by_restrict(x, y) - 1)
 
 
 POINT_VALUED = ("baire-identity", "compactify-identity", "prefix-embed")
@@ -274,17 +292,19 @@ POINT_VALUED = ("baire-identity", "compactify-identity", "prefix-embed")
 @settings(max_examples=400)
 @given(point_pairs(), st.integers(1, 10))
 def test_split_index_and_distance_match_the_restriction_loop(pair, depth):
-    a, b = pair
-    for budget in (DepthBudget(depth=depth), DEFAULT_BUDGET):
+    # The pair's lazy points are read at the drawn depth, then at the default 64.
+    for a, b in ([at_depth(p, depth) for p in pair], pair):
         for p, q in ((a, b), (b, a)):
-            assert split_index(p, q, budget) == split_by_restrict(p, q, budget)
-            assert distance(p, q, budget) == distance_by_restrict(p, q, budget)
+            want, got = split_by_restrict(p, q), split_index(p, q)
+            assert got == want or (want is None and got.__class__ is Undetermined)
+            assert distance(p, q) == distance_by_restrict(p, q)
+    a, b = pair
     for name in POINT_VALUED:
         phi = FUNCTIONS[name]
         x, y = phi.evaluate(a), phi.evaluate(b)
         want = value_distance_by_restrict(name, x, y)
         if want is None:
-            with pytest.raises(BudgetExceeded, match="depth budget 64"):
+            with pytest.raises(BudgetExceeded, match="agree to depth 64"):
                 phi.value_distance(x, y)
         else:
             assert phi.value_distance(x, y) == want == phi.value_distance(y, x)
@@ -295,15 +315,15 @@ def test_periodic_points_split_within_the_fine_wilf_bound():
     # coordinates, the most that distinct periods 5 and 8 allow.
     a = PeriodicPoint((2,), (0, 1, 0, 0, 1))
     b = PeriodicPoint((2,), (0, 1, 0, 0, 1, 0, 1, 0))
-    assert split_index(a, b, DepthBudget(depth=1)) == 13 == split_by_restrict(a, b, WIDE)
+    assert split_index(a, b) == 13 == split_by_restrict(a, b)
 
 
 @pytest.mark.parametrize("name", ["baire-identity", "compactify-identity"])
 def test_a_value_distance_to_the_budget_depth_is_not_a_distance(name):
     # Two oracles for one point agree to every depth; their distance is 0,
-    # which no depth budget can tell from a small positive one.
+    # which no finite depth can tell from a small positive one.
     a, b = InfinitePoint(lambda i: (0,) * i), InfinitePoint(lambda i: (0,) * i)
-    with pytest.raises(BudgetExceeded, match="depth budget 64"):
+    with pytest.raises(BudgetExceeded, match="agree to depth 64"):
         FUNCTIONS[name].value_distance(a, b)
 
 

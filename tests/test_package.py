@@ -8,6 +8,7 @@ import ast
 import copy
 import hashlib
 import importlib.util
+import inspect
 import json
 import os
 import pickle
@@ -19,10 +20,22 @@ from pathlib import Path
 import pytest
 
 import seqstar
+from seqstar import sequences
 from seqstar.catalog import Const, SpaceTag
-from seqstar.metric import Dyadic, Exact
-from seqstar.sequences import AugmentedPoint, FinitePoint, PeriodicPoint
-from seqstar.topology import Cone, ConeMinus
+from seqstar.embeddings import extend
+from seqstar.metric import Dyadic, Exact, ball_member, distance
+from seqstar.sequences import (
+    AugmentedPoint,
+    DepthBudget,
+    FinitePoint,
+    InfinitePoint,
+    PeriodicPoint,
+    Point,
+    cone_member,
+    split_and_weight,
+    split_index,
+)
+from seqstar.topology import Cone, ConeMinus, basic_member, neighborhood_of
 
 SRC = str(Path(seqstar.__file__).resolve().parent.parent)
 ENV = dict(os.environ, PYTHONPATH=SRC)
@@ -211,3 +224,32 @@ def test_every_module_level_private_name_is_referenced():
                              if name.startswith("_") and not name.startswith("__")
                              and name not in referenced]
     assert unreferenced == []
+
+
+# --- where a budget is taken -----------------------------------------------
+
+# A lazy point carries its own depth, so no query takes a budget; only the
+# constructions (for their step count) and embed_via, whose budget is unread,
+# still do.
+QUERIES = [Point.restrict, FinitePoint.restrict, AugmentedPoint.restrict, InfinitePoint.restrict,
+           PeriodicPoint.restrict, sequences.restrict, split_and_weight, split_index, cone_member,
+           distance, ball_member, basic_member, neighborhood_of, extend]
+TAKE_A_BUDGET = {"catalog.embed_via", *(f"constructions.{name}" for name in (
+    "ramsey_split", "category_refine", "continuity_refine", "_level_refine", "diameter_shrink",
+    "children_stabilize", "disjointify", "limit_refine", "epsilon_discrete_or_ball",
+    "shrink_or_discrete", "point_avoid", "finite_avoid_or_converge", "discrete_refine",
+    "disjoint_refine", "classify_baire_function"))}
+
+
+@pytest.mark.parametrize("query", QUERIES, ids=lambda f: f.__qualname__)
+def test_a_query_takes_no_budget(query):
+    assert "budget" not in inspect.signature(query).parameters
+
+
+def test_only_the_constructions_and_embed_via_take_a_budget():
+    takes = {f"{module}.{node.name}" for module, tree in MODULES.items()
+             for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+             and "budget" in [a.arg for a in node.args.args + node.args.kwonlyargs]}
+    assert takes == TAKE_A_BUDGET
+    assert DepthBudget.__slots__ == ("steps",)
+    assert inspect.signature(InfinitePoint).parameters["depth"].default == 64

@@ -7,7 +7,6 @@ from seqstar.constructions import _word_pool
 from seqstar.sequences import (
     AugmentedPoint,
     BudgetExceeded,
-    DepthBudget,
     FinitePoint,
     InfinitePoint,
     PeriodicPoint,
@@ -101,10 +100,14 @@ def test_split_index_examples():
 
 
 def test_infinite_point_respects_budget():
-    zeros = InfinitePoint(lambda i: (0,) * i)
-    assert restrict(zeros, 5).seq == (0,) * 5
-    with pytest.raises(BudgetExceeded):
-        restrict(zeros, 100, DepthBudget(depth=10))
+    # A lazy point is read to its own depth, 64 unless given.
+    zeros = InfinitePoint(lambda i: (0,) * i, depth=10)
+    assert restrict(zeros, 10).seq == (0,) * 10
+    with pytest.raises(BudgetExceeded, match="prefix query 11 exceeds depth 10"):
+        restrict(zeros, 11)
+    assert restrict(InfinitePoint(lambda i: (0,) * i), 64).seq == (0,) * 64
+    with pytest.raises(BudgetExceeded, match="prefix query 65 exceeds depth 64"):
+        restrict(InfinitePoint(lambda i: (0,) * i), 65)
 
 
 def test_periodic_point_equality_is_decidable():

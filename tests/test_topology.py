@@ -8,7 +8,6 @@ from seqstar.metric import Dyadic
 from seqstar.sequences import (
     AugmentedPoint,
     BudgetExceeded,
-    DepthBudget,
     FinitePoint,
     InfinitePoint,
     PeriodicPoint,
@@ -57,12 +56,14 @@ def test_neighborhood_of_a_presented_point_takes_no_budget():
         neighborhood_of(ZEROS, Dyadic.zero())
 
 
-@pytest.mark.parametrize("p, budget", [
-    (InfinitePoint(lambda i: (0,) * i), DepthBudget(depth=5)),  # prefixes to depth 5 weigh at most 5
+@pytest.mark.parametrize("p", [
+    InfinitePoint(lambda i: (0,) * i, depth=5),  # prefixes to depth 5 weigh at most 5
 ], ids=["lazy"])
-def test_neighborhood_beyond_the_budget_raises(p, budget):
-    with pytest.raises(BudgetExceeded, match="no small enough basic set"):
-        neighborhood_of(p, Dyadic(1, 6), budget=budget)
+def test_neighborhood_beyond_the_budget_raises(p):
+    # A diameter below 2^-5 needs the prefix of length 6, past the point's depth.
+    with pytest.raises(BudgetExceeded, match="prefix query 6 exceeds depth 5"):
+        neighborhood_of(p, Dyadic(1, 5))
+    assert neighborhood_of(p, Dyadic(1, 4)) == Cone((0,) * 5)
 
 
 def test_cone_partition_law():

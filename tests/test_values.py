@@ -82,7 +82,7 @@ _TABLE = {(): (), (0,): (0,), (1,): (1,)}
 # class -> (field values, the same values with one field changed, or None
 # for a class without fields)
 FROZEN = {
-    DepthBudget: ((3, 5), (3, 6)),
+    DepthBudget: ((5,), (6,)),
     Prefix: (((0, 1), True), ((0, 1), False)),
     Undetermined: ((5,), (6,)),
     FinitePoint: (((1, 2),), ((1,),)),
