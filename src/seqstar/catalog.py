@@ -256,7 +256,7 @@ def embed_via(
     """Check the commuting condition phi(extend(pi, p)) = psi(f(p)) on the
     samples, with psi induced from the observations; report the first
     sample where psi fails to be well defined.  budget is not read: a lazy
-    extension is read no further than its own depth."""
+    extension is read no further than LAZY_DEPTH."""
     psi: dict = {}
     for p in sample_pairs:
         key = _value_key(evaluate(f, p))

@@ -16,6 +16,7 @@ import functools
 from itertools import combinations, islice
 from typing import Any, Callable, Iterable, Sequence
 
+from . import sequences
 from .metric import Dyadic, EpsilonSchedule, weight_schedule
 from .sequences import (
     DEFAULT_BUDGET,
@@ -787,19 +788,10 @@ def discrete_refine(
                                       out_branch, function=phi.spec, mode="PairwiseAvoidance")
 
 
-_WITNESS_DEPTH = 64  # the most witness coordinates disjoint_refine reads
-
-
-def disjoint_refine(
-    phi: SpaceFunction,
-    witness: Point,
-    delta: Dyadic,
-    budget: DepthBudget = DEFAULT_BUDGET,
-) -> PartialEmbedding:
+def disjoint_refine(phi: SpaceFunction, witness: Point, delta: Dyadic) -> PartialEmbedding:
     """Prefix embedding at an initial segment of the witness, at most
-    _WITNESS_DEPTH long, whose cone has image diameter below delta/3,
-    separating the infinite-part values from the augmented-part samples.
-    budget is not read."""
+    LAZY_DEPTH long, whose cone has image diameter below delta/3,
+    separating the infinite-part values from the augmented-part samples."""
     if phi.cone_diameter is None:
         raise DomainMismatch("disjoint_refine needs a cone_diameter oracle")
     third = Dyadic(delta.num, delta.exp + 2)  # delta/4 <= delta/3, still positive
@@ -812,11 +804,8 @@ def disjoint_refine(
                 f"witness separation fails: augmented sample at {u} is at distance {d} < {delta}",
                 stage="disjoint_refine")
     s = None
-    for i in range(_WITNESS_DEPTH + 1):
-        try:
-            pre = witness.restrict(i)
-        except BudgetExceeded:  # a lazy witness read past its own depth
-            break
+    for i in range(sequences.LAZY_DEPTH + 1):
+        pre = witness.restrict(i)
         if pre.marked:
             break
         if phi.cone_diameter(pre.seq) < third:

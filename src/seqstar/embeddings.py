@@ -296,9 +296,8 @@ def extend(pi: MeetEmbedding, p: Point) -> Point:
 
     A periodic point has an exact periodic image when pi copies coordinates
     past a finite depth.  Other infinite points are extended lazily, to an
-    InfinitePoint as deep as a lazy p, or of the default depth for a
-    periodic p.  A node of length i has an image at least i long, so reading
-    the image to k reads at most k coordinates of p.
+    InfinitePoint.  A node of length i has an image at least i long, so
+    reading the image to k reads at most k coordinates of p.
     """
     if isinstance(p, FinitePoint):
         return FinitePoint(pi.apply(p.seq))
@@ -323,9 +322,7 @@ def extend(pi: MeetEmbedding, p: Point) -> Point:
             deepest = i, img
         return img[:k]
 
-    if isinstance(p, PeriodicPoint):
-        return InfinitePoint(prefix_fn, label=f"pi^({p!r})")
-    return InfinitePoint(prefix_fn, label=f"pi^({p!r})", depth=p.depth)
+    return InfinitePoint(prefix_fn, label=f"pi^({p!r})")
 
 
 class Empty(Frozen):

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import re
 
+from . import sequences
 from .sequences import (
     Frozen,
     Point,
@@ -181,7 +182,7 @@ DistanceResult = Exact | Bounded
 def distance(a: Point, b: Point) -> DistanceResult:
     """The ultrametric distance 2^-w, w the split weight of a and b (see
     split_and_weight); zero on equal points.  Exact on finitely presented
-    points; Bounded where the points agree up to the lazy point's own depth."""
+    points; Bounded where a lazy point agrees with the other to LAZY_DEPTH."""
     if a == b:
         return Exact(Dyadic.zero())
     s = split_and_weight(a, b)
@@ -191,11 +192,11 @@ def distance(a: Point, b: Point) -> DistanceResult:
 
 
 def ball_member(center: Point, radius: Dyadic, p: Point) -> bool | Undetermined:
-    """Membership of p in the open ball around center; where a bounded
-    distance does not settle it, the Undetermined of split_and_weight."""
+    """Membership of p in the open ball around center; Undetermined where a
+    bounded distance, of points that agree to LAZY_DEPTH, does not settle it."""
     d = distance(center, p)
     if isinstance(d, Exact):
         return d.value < radius
     if d.upper < radius:
         return True
-    return split_and_weight(center, p)
+    return Undetermined(sequences.LAZY_DEPTH)

@@ -94,7 +94,7 @@ class Frozen(Record):
 
 class DepthBudget(Frozen):
     """The step allowance of a construction's searches.  How far a lazy
-    point may be read is the point's own depth (see InfinitePoint)."""
+    point may be read is LAZY_DEPTH (see InfinitePoint)."""
 
     __slots__ = ("steps",)
 
@@ -203,21 +203,21 @@ class AugmentedPoint(Point, Frozen):
         return f"AugmentedPoint({list(self.seq)})"
 
 
+LAZY_DEPTH = 64  # the most coordinates a lazy point's oracle is asked for
+
+
 class InfinitePoint(Point):
     """An infinite sequence presented by a pure prefix oracle i -> b|i, which
-    is asked for at most ``depth`` coordinates: restrict raises
+    is asked for at most LAZY_DEPTH coordinates: restrict raises
     BudgetExceeded past them."""
 
-    def __init__(self, prefix_fn: Callable[[int], Seq], label: str = "", depth: int = 64):
-        if depth <= 0:
-            raise ValueError("depth must be positive")
+    def __init__(self, prefix_fn: Callable[[int], Seq], label: str = ""):
         self._prefix_fn = prefix_fn
         self.label = label
-        self.depth = depth
 
     def restrict(self, i: int) -> Prefix:
-        if i > self.depth:
-            raise BudgetExceeded(f"prefix query {i} exceeds depth {self.depth}")
+        if i > LAZY_DEPTH:
+            raise BudgetExceeded(f"prefix query {i} exceeds depth {LAZY_DEPTH}")
         p = self._prefix_fn(i)
         if len(p) != i:
             raise ValueError(f"prefix oracle returned length {len(p)} for query {i}")
@@ -288,8 +288,7 @@ def split_and_weight(a: Point, b: Point) -> tuple[int, int] | Undetermined:
     """The split index i of a and b, the least i with a|i != b|i, and the
     split weight w, the least weight of a|i and b|i over those that lie in
     the tree.  Undetermined, of the number of coordinates compared, on equal
-    points, and where the points agree as far as the shallower lazy one of
-    them may be read.
+    points, and where a lazy point agrees with the other to LAZY_DEPTH.
 
     Finitely presented points are read off their coordinates in one walk.
     With k = i - 1 common coordinates of sum S, w is the least over the two
@@ -298,12 +297,11 @@ def split_and_weight(a: Point, b: Point) -> tuple[int, int] | Undetermined:
     adds nothing, as its restriction carries the marker."""
     ea, eb = _GOES_ON.get(a.__class__), _GOES_ON.get(b.__class__)
     if ea is None or eb is None:
-        depth = min(p.depth for p in (a, b) if p.__class__ not in _GOES_ON)
-        for i in range(1, depth + 1):
+        for i in range(1, LAZY_DEPTH + 1):
             ra, rb = a.restrict(i), b.restrict(i)
             if ra != rb:
                 return i, min(weight(r.seq) for r in (ra, rb) if not r.marked)
-        return Undetermined(depth)
+        return Undetermined(LAZY_DEPTH)
     if ea is _PERIODIC or eb is _PERIODIC:
         # A periodic point shows only the coordinates that can split it from
         # the other point: one past a finite or augmented point's end, or,

@@ -47,7 +47,7 @@ BasicClopen = Singleton | Cone | ConeMinus
 def basic_member(B: BasicClopen, p: Point) -> bool:
     """Membership of p in B, exact on every point; a lazy point is read no
     further than the longest node B mentions, and raises BudgetExceeded
-    where that is past its own depth."""
+    where that is past LAZY_DEPTH."""
     if isinstance(B, Singleton):
         return isinstance(p, FinitePoint) and p.seq == B.t
     if isinstance(B, Cone):
@@ -176,7 +176,7 @@ def uncovered_descent(family: list[BasicClopen]) -> Point:
 def neighborhood_of(p: Point, eps: Dyadic) -> BasicClopen:
     """A basic set containing p of metric diameter below eps > 0; each step
     at least halves the radius.  A lazy point raises BudgetExceeded where
-    the set needs a prefix past its own depth."""
+    the set needs a prefix past LAZY_DEPTH."""
     if eps.is_zero():
         raise ValueError("no basic set has diameter below 0")
     if isinstance(p, FinitePoint):

@@ -331,10 +331,10 @@ def test_pairwise_certificates_name_each_point_once(op):
 def test_disjoint_refine_good_and_bad_witness():
     phi = space_function("zero-one-split")
     b = PeriodicPoint((), (0,))
-    pe = disjoint_refine(phi, b, Dyadic(1, 0), BUDGET)
+    pe = disjoint_refine(phi, b, Dyadic(1, 0))
     assert_good(pe)
     with pytest.raises(BudgetExceeded):
-        disjoint_refine(phi, PeriodicPoint((), (0,)), Dyadic(4, 0), BUDGET)
+        disjoint_refine(phi, PeriodicPoint((), (0,)), Dyadic(4, 0))
 
 
 # --- searches that run out --------------------------------------------------
@@ -385,7 +385,7 @@ TAIL_GLUED = SpaceFunction(
      "neither convergence nor avoidance certified"),
     (lambda: disjoint_refine(WIDE, PeriodicPoint((), (0,)), Dyadic(1)),
      "disjoint_refine", "no witness prefix with small enough image diameter"),
-    (lambda: disjoint_refine(WIDE, InfinitePoint(lambda i: (0,) * i, depth=4), Dyadic(1)),
+    (lambda: disjoint_refine(WIDE, InfinitePoint(lambda i: (0,) * i), Dyadic(1)),
      "disjoint_refine", "no witness prefix with small enough image diameter"),
 ], ids=["stabilize-selector", "stabilize-no-verdict", "disjointify-never-dominates",
         "limit-neither", "shrink-cone-diameter",

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seqstar import sequences
 from seqstar.embeddings import (
     Agrees,
     ContainmentError,
@@ -245,18 +246,19 @@ def test_the_lazy_extension_walk_resumes_where_it_stopped(monkeypatch, depth):
         return apply(self, t)
 
     monkeypatch.setattr(MeetEmbedding, "apply", counted)
+    monkeypatch.setattr(sequences, "LAZY_DEPTH", depth)
     zeros = PeriodicPoint((), (0,))
-    lazy = extend(MeetEmbedding.from_node_map(lambda t: t),
-                  InfinitePoint(lambda i: (0,) * i, depth=depth))
+    lazy = extend(MeetEmbedding.from_node_map(lambda t: t), InfinitePoint(lambda i: (0,) * i))
     assert split_index(lazy, zeros) == Undetermined(depth)
     assert calls == 2 * depth + 1
 
 
-def test_the_lazy_extension_stops_at_its_input_depth():
+def test_the_lazy_extension_stops_at_the_lazy_depth(monkeypatch):
     # pi doubles each coordinate, so p|i has an image of length 2i; the
-    # image is read no further than the input's depth all the same.
+    # image is read no further than LAZY_DEPTH all the same.
+    monkeypatch.setattr(sequences, "LAZY_DEPTH", 8)
     pi = MeetEmbedding.from_node_map(lambda t: tuple(x for c in t for x in (c, c)))
-    lazy = extend(pi, InfinitePoint(lambda i: (1,) * i, depth=8))
+    lazy = extend(pi, InfinitePoint(lambda i: (1,) * i))
     assert restrict(lazy, 8).seq == (1,) * 8
     assert restrict(lazy, 3).seq == (1,) * 3
     with pytest.raises(BudgetExceeded, match="prefix query 9 exceeds depth 8"):
@@ -264,9 +266,9 @@ def test_the_lazy_extension_stops_at_its_input_depth():
     assert restrict(lazy, 7).seq == (1,) * 7
 
 
-def test_a_periodic_point_under_a_rule_only_embedding_extends_to_the_default_depth():
+def test_a_periodic_point_under_a_rule_only_embedding_extends_to_the_lazy_depth():
     lazy = extend(MeetEmbedding.from_node_map(lambda t: t), PeriodicPoint((), (1,)))
-    assert lazy.depth == 64
+    assert type(lazy) is InfinitePoint
     assert restrict(lazy, 64).seq == (1,) * 64
     with pytest.raises(BudgetExceeded, match="prefix query 65 exceeds depth 64"):
         restrict(lazy, 65)

@@ -1,10 +1,12 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from seqstar import sequences
 from seqstar.metric import Bounded, Dyadic, Exact, ball_member, distance, weight_schedule
 from seqstar.registry import FUNCTIONS
 from seqstar.sequences import (
@@ -125,17 +127,19 @@ def test_distance_infinite_points_equal_periodic():
     assert d(a, b) == Dyadic.zero()
 
 
-def test_distance_infinite_budget_gives_bound():
-    ones = InfinitePoint(lambda i: (1,) * i, depth=6)
-    also_ones = InfinitePoint(lambda i: (1,) * i, depth=6)
+def test_distance_infinite_budget_gives_bound(monkeypatch):
+    monkeypatch.setattr(sequences, "LAZY_DEPTH", 6)
+    ones = InfinitePoint(lambda i: (1,) * i)
+    also_ones = InfinitePoint(lambda i: (1,) * i)
     assert distance(ones, also_ones) == Bounded(Dyadic(1, 12))
 
 
-def test_a_lazy_pair_is_read_to_the_shallower_depth():
-    a = InfinitePoint(lambda i: (1,) * i, depth=5)
-    b = InfinitePoint(lambda i: (1,) * i, depth=9)
+def test_a_lazy_pair_is_read_to_the_lazy_depth(monkeypatch):
+    monkeypatch.setattr(sequences, "LAZY_DEPTH", 5)
+    a = InfinitePoint(lambda i: (1,) * i)
+    b = InfinitePoint(lambda i: (1,) * i)
     assert split_index(a, b) == split_index(b, a) == Undetermined(5)
-    assert split_index(b, PeriodicPoint((), (1,))) == Undetermined(9)
+    assert split_index(b, PeriodicPoint((), (1,))) == Undetermined(5)
     assert distance(b, a) == Bounded(Dyadic(1, 10))
     assert ball_member(b, Dyadic(1, 10), a) == Undetermined(5)
 
@@ -160,10 +164,11 @@ def test_singleton_equals_small_ball():
         assert ball_member(p, eps, p)
 
 
-def test_ball_member_on_a_bounded_distance():
+def test_ball_member_on_a_bounded_distance(monkeypatch):
     # Two lazy points agreeing to depth 6: the distance is at most 2^-12.
-    ones = InfinitePoint(lambda i: (1,) * i, depth=6)
-    also_ones = InfinitePoint(lambda i: (1,) * i, depth=6)
+    monkeypatch.setattr(sequences, "LAZY_DEPTH", 6)
+    ones = InfinitePoint(lambda i: (1,) * i)
+    also_ones = InfinitePoint(lambda i: (1,) * i)
     assert ball_member(ones, Dyadic(1, 11), also_ones) is True
     assert ball_member(ones, Dyadic(1, 12), also_ones) == Undetermined(6)
 
@@ -210,20 +215,15 @@ def is_lazy(p):
     return type(p) is InfinitePoint
 
 
-def at_depth(p, depth):
-    """p, a lazy p read through another oracle of the given depth."""
-    return InfinitePoint(lambda i: p.restrict(i).seq, depth=depth) if is_lazy(p) else p
-
-
 def split_by_restrict(a, b):
     """The least i with a|i != b|i, found by comparing restrictions as far
-    as the shallower lazy point may be read; Undetermined of that depth where
-    they agree that far, None where two presented points agree to WIDE."""
-    lazy = [p.depth for p in (a, b) if is_lazy(p)]
-    for i in range(1, min(lazy, default=WIDE) + 1):
+    as a lazy point may be read; Undetermined of LAZY_DEPTH where they agree
+    that far, None where two presented points agree to WIDE."""
+    lazy = is_lazy(a) or is_lazy(b)
+    for i in range(1, (sequences.LAZY_DEPTH if lazy else WIDE) + 1):
         if a.restrict(i) != b.restrict(i):
             return i
-    return Undetermined(min(lazy)) if lazy else None
+    return Undetermined(sequences.LAZY_DEPTH) if lazy else None
 
 
 def distance_by_restrict(a, b):
@@ -245,14 +245,14 @@ def written_again(p, unroll, reps):
         head = p.restrict(len(p.head) + unroll).seq
         return PeriodicPoint(head, (p.period[k:] + p.period[:k]) * reps)
     if isinstance(p, InfinitePoint):
-        return at_depth(p, p.depth)
+        return InfinitePoint(lambda i: p.restrict(i).seq)
     return type(p)(tuple(list(p.seq)))
 
 
 @st.composite
 def point_pairs(draw):
     """Two points sharing a long run of coordinates (heads up to 70+,
-    periods up to 9 long); lazy points have the default depth 64."""
+    periods up to 9 long)."""
     base = draw(st.lists(st.integers(0, 2), max_size=70))
     entries = st.lists(st.integers(0, 2), max_size=3)
 
@@ -292,12 +292,13 @@ POINT_VALUED = ("baire-identity", "compactify-identity", "prefix-embed")
 @settings(max_examples=400)
 @given(point_pairs(), st.integers(1, 10))
 def test_split_index_and_distance_match_the_restriction_loop(pair, depth):
-    # The pair's lazy points are read at the drawn depth, then at the default 64.
-    for a, b in ([at_depth(p, depth) for p in pair], pair):
-        for p, q in ((a, b), (b, a)):
-            want, got = split_by_restrict(p, q), split_index(p, q)
-            assert got == want or (want is None and got.__class__ is Undetermined)
-            assert distance(p, q) == distance_by_restrict(p, q)
+    # Lazy points are read to the drawn depth, then to the default 64.
+    for lazy_depth in (depth, sequences.LAZY_DEPTH):
+        with mock.patch.object(sequences, "LAZY_DEPTH", lazy_depth):
+            for p, q in (pair, pair[::-1]):
+                want, got = split_by_restrict(p, q), split_index(p, q)
+                assert got == want or (want is None and got.__class__ is Undetermined)
+                assert distance(p, q) == distance_by_restrict(p, q)
     a, b = pair
     for name in POINT_VALUED:
         phi = FUNCTIONS[name]

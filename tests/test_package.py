@@ -238,7 +238,7 @@ TAKE_A_BUDGET = {"catalog.embed_via", *(f"constructions.{name}" for name in (
     "ramsey_split", "category_refine", "continuity_refine", "_level_refine", "diameter_shrink",
     "children_stabilize", "disjointify", "limit_refine", "epsilon_discrete_or_ball",
     "shrink_or_discrete", "point_avoid", "finite_avoid_or_converge", "discrete_refine",
-    "disjoint_refine", "classify_baire_function"))}
+    "classify_baire_function"))}
 
 
 @pytest.mark.parametrize("query", QUERIES, ids=lambda f: f.__qualname__)
@@ -252,4 +252,5 @@ def test_only_the_constructions_and_embed_via_take_a_budget():
              and "budget" in [a.arg for a in node.args.args + node.args.kwonlyargs]}
     assert takes == TAKE_A_BUDGET
     assert DepthBudget.__slots__ == ("steps",)
-    assert inspect.signature(InfinitePoint).parameters["depth"].default == 64
+    assert list(inspect.signature(InfinitePoint).parameters) == ["prefix_fn", "label"]
+    assert sequences.LAZY_DEPTH == 64

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from seqstar import sequences
 from seqstar.constructions import _word_pool
 from seqstar.sequences import (
     AugmentedPoint,
@@ -99,15 +100,16 @@ def test_split_index_examples():
     assert split_index(FinitePoint(()), AugmentedPoint(())) == 1
 
 
-def test_infinite_point_respects_budget():
-    # A lazy point is read to its own depth, 64 unless given.
-    zeros = InfinitePoint(lambda i: (0,) * i, depth=10)
+def test_infinite_point_respects_budget(monkeypatch):
+    # A lazy point is read to LAZY_DEPTH, 64.
+    zeros = InfinitePoint(lambda i: (0,) * i)
+    assert restrict(zeros, 64).seq == (0,) * 64
+    with pytest.raises(BudgetExceeded, match="prefix query 65 exceeds depth 64"):
+        restrict(zeros, 65)
+    monkeypatch.setattr(sequences, "LAZY_DEPTH", 10)
     assert restrict(zeros, 10).seq == (0,) * 10
     with pytest.raises(BudgetExceeded, match="prefix query 11 exceeds depth 10"):
         restrict(zeros, 11)
-    assert restrict(InfinitePoint(lambda i: (0,) * i), 64).seq == (0,) * 64
-    with pytest.raises(BudgetExceeded, match="prefix query 65 exceeds depth 64"):
-        restrict(InfinitePoint(lambda i: (0,) * i), 65)
 
 
 def test_periodic_point_equality_is_decidable():

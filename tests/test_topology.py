@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from seqstar import sequences
 from seqstar.metric import Dyadic
 from seqstar.sequences import (
     AugmentedPoint,
@@ -57,10 +58,11 @@ def test_neighborhood_of_a_presented_point_takes_no_budget():
 
 
 @pytest.mark.parametrize("p", [
-    InfinitePoint(lambda i: (0,) * i, depth=5),  # prefixes to depth 5 weigh at most 5
+    InfinitePoint(lambda i: (0,) * i),  # prefixes to depth 5 weigh at most 5
 ], ids=["lazy"])
-def test_neighborhood_beyond_the_budget_raises(p):
-    # A diameter below 2^-5 needs the prefix of length 6, past the point's depth.
+def test_neighborhood_beyond_the_budget_raises(monkeypatch, p):
+    # A diameter below 2^-5 needs the prefix of length 6, past LAZY_DEPTH 5.
+    monkeypatch.setattr(sequences, "LAZY_DEPTH", 5)
     with pytest.raises(BudgetExceeded, match="prefix query 6 exceeds depth 5"):
         neighborhood_of(p, Dyadic(1, 5))
     assert neighborhood_of(p, Dyadic(1, 4)) == Cone((0,) * 5)
