@@ -133,18 +133,27 @@ def _tagged_to_json(v: cat.TaggedValue) -> dict:
     return {"space": v.space.value, "payload": payload(v.payload)}
 
 
+def _candidates(t: seq.Seq) -> tuple[seq.Point, ...]:
+    return seq.FinitePoint(t), seq.AugmentedPoint(t), seq.PeriodicPoint(t, (1,))
+
+
 def _domain_samples(f: cat.CatalogFunction, n: int, seed: int) -> list[seq.Point]:
+    """Up to n distinct domain points, drawn up to 50·n times from the
+    candidates at nodes of length and entries below 4.  Drawing stops once
+    every candidate the domain admits has been drawn: no later draw could
+    add one."""
     rng = random.Random(seed)
     dom = cat.domain_of(f)
+    # The domain admits a point by its kind alone: the same kinds at each
+    # node a draw can give.
+    admitted = len(seq.nodes_in_range(3, 4)) * sum(cat.tag_member(dom, p) for p in _candidates(()))
     out: list[seq.Point] = []
     seen: set = set()
     tries = 0
-    while len(out) < n and tries < 50 * n:
+    while len(out) < min(n, admitted) and tries < 50 * n:
         tries += 1
         t = tuple(rng.randrange(4) for _ in range(rng.randrange(4)))
-        choices = [p for p in (seq.FinitePoint(t), seq.AugmentedPoint(t),
-                               seq.PeriodicPoint(t, (1,)))
-                   if cat.tag_member(dom, p)]
+        choices = [p for p in _candidates(t) if cat.tag_member(dom, p)]
         if not choices:
             continue
         p = rng.choice(choices)
@@ -249,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", required=True)
     p.set_defaults(run=_cmd_meet)
 
-    p = sub.add_parser("eps", help="schedule radius at a node")
+    p = sub.add_parser("eps", help="radius 2^-weight(t) at a node")
     p.add_argument("--t", required=True)
     p.set_defaults(run=_cmd_eps)
 

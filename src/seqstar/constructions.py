@@ -160,8 +160,8 @@ def _word_pool(branch: int) -> tuple[Seq, ...]:
     return tuple(sorted(words, key=lambda w: (weight(w), len(w), w)))
 
 
-def _find(pred: Callable[..., bool], start: Seq, pool: Sequence[Seq], steps: _Steps, *u) -> Seq:
-    """The first candidate start + w, w in pool, with pred(candidate, *u).
+def _find(pred: Callable[[Seq], bool], start: Seq, pool: Sequence[Seq], steps: _Steps) -> Seq:
+    """The first candidate start + w, w in pool, with pred(candidate).
 
     Each candidate costs one step; at most _LOCAL_CAP are tried."""
     left = steps.left
@@ -171,7 +171,7 @@ def _find(pred: Callable[..., bool], start: Seq, pool: Sequence[Seq], steps: _St
             if left < 0:
                 raise steps.exhausted()
             c = start + w
-            if pred(c, *u):
+            if pred(c):
                 return c
         raise _SearchFailed
     finally:
@@ -195,7 +195,7 @@ def _build_table(
 
 
 def _refine(
-    pred: Callable[[Seq, Seq], bool],
+    pred_at: Callable[[Seq], Callable[[Seq], bool]],
     roots: Iterable[Seq],
     pool: Sequence[Seq],
     steps: _Steps,
@@ -207,8 +207,9 @@ def _refine(
     """The table of the first root that admits one, node by node in
     canonical order.
 
-    The image of node u is the first candidate c with pred(c, u): the root
-    followed by a pool word for the empty node, otherwise the parent's
+    The image of node u is the first candidate c that pred_at(u) accepts,
+    asked once per node so that a per-node bound is worked out once: the
+    root followed by a pool word for the empty node, otherwise the parent's
     image, u's last coordinate and a pool word.  hint(start, u), when
     given, proposes an extension of that start to try before the pool.
     When no root admits a table, this raises BudgetExceeded(failure) at the
@@ -219,11 +220,12 @@ def _refine(
         try:
             for u in nodes_in_range(out_depth, out_branch):
                 start = table[u[:-1]] + u[-1:] if u else root
+                pred = pred_at(u)
                 c = hint(start, u) if hint else None
-                if c is not None and is_prefix(start, c) and pred(c, u):
+                if c is not None and is_prefix(start, c) and pred(c):
                     steps.tick()
                 else:
-                    c = _find(pred, start, pool, steps, u)
+                    c = _find(pred, start, pool, steps)
                 table[u] = c
         except _SearchFailed:
             continue
@@ -241,14 +243,19 @@ def _converging_table(phi: SpaceFunction, schedule: EpsilonSchedule, pool: Seque
     """Table whose augmented values lie within half the schedule of one
     limit, the value at the root image's child _TAIL; also that point."""
 
-    def close(c: Seq, limit: Value, u: Seq) -> bool:
-        return phi.value_distance(phi.evaluate(AugmentedPoint(c)), limit) < schedule(u).half()
+    def close(c: Seq, limit: Value, eps: Dyadic) -> bool:
+        return phi.value_distance(phi.evaluate(AugmentedPoint(c)), limit) < eps
 
-    root = _find(lambda c: close(c, phi.evaluate(AugmentedPoint(c + (_TAIL,))), ()), (), pool, steps)
+    def near_limit(u: Seq) -> Callable[[Seq], bool]:
+        eps = schedule(u).half()
+        return lambda c: close(c, limit, eps)
+
+    eps = schedule(()).half()
+    root = _find(lambda c: close(c, phi.evaluate(AugmentedPoint(c + (_TAIL,))), eps), (), pool, steps)
     tail = AugmentedPoint(root + (_TAIL,))
     limit = phi.evaluate(tail)
     # The root passes close() again at once: its limit is this one.
-    return _refine(lambda c, u: close(c, limit, u), [root], pool, steps, out_depth, out_branch), tail
+    return _refine(near_limit, [root], pool, steps, out_depth, out_branch), tail
 
 
 def _separation(phi: SpaceFunction, xs: Iterable[Value], ys: Sequence[Value]) -> Dyadic | None:
@@ -316,7 +323,7 @@ def ramsey_split(
     def attempt(inside: bool) -> dict[Seq, Seq]:
         steps = _Steps(budget.steps, "ramsey_split")
         member = T.member if inside else (lambda t: not T.member(t))
-        return _refine(lambda c, u: member(c), roots, pool, steps, out_depth, out_branch,
+        return _refine(lambda u: member, roots, pool, steps, out_depth, out_branch,
                        failure="no root admits a full table on this side")
 
     try:
@@ -366,7 +373,7 @@ def _level_refine(op: str, family: TreeFamily, s: Seq, out_depth: int, out_branc
         dense = levels[len(u)].dense_extension
         return None if dense is None else tuple(dense(start))
 
-    table = _refine(lambda c, u: levels[len(u)].member(c), [tuple(s)], _word_pool(out_branch),
+    table = _refine(lambda u: levels[len(u)].member, [tuple(s)], _word_pool(out_branch),
                     _Steps(budget.steps, op), out_depth, out_branch, hint,
                     failure="level constraint not reachable by search")
     certs = [{"kind": "in_set", "family_level": len(t), "node": list(img), "member": True}
@@ -386,7 +393,12 @@ def diameter_shrink(
     schedule = schedule or weight_schedule()
     if phi.cone_diameter is None:
         raise DomainMismatch("diameter_shrink needs a cone_diameter oracle")
-    table = _refine(lambda c, u: phi.cone_diameter(c) < schedule(u), [()], _word_pool(out_branch),
+
+    def small(u: Seq) -> Callable[[Seq], bool]:
+        eps = schedule(u)
+        return lambda c: phi.cone_diameter(c) < eps
+
+    table = _refine(small, [()], _word_pool(out_branch),
                     _Steps(budget.steps, "diameter_shrink"), out_depth, out_branch,
                     failure="no image with small enough cone diameter")
     certs = [{"kind": "diam_lt", "node": list(img), "eps": str(schedule(t))}
@@ -408,8 +420,10 @@ def children_stabilize(
 
     Convergence is tested against the deepest probed child as candidate
     limit, with tolerances halving per step starting from 1; discreteness
-    by the largest power-of-two separation a greedy pick sustains.  budget
-    is not read; it stays for the signature the ops share.
+    by the largest power-of-two separation a greedy pick sustains.  A
+    node's values are evaluated as the scans read them, the limit first,
+    so a convergent chain reads only its prefix.  budget is not read; it
+    stays for the signature the ops share.
     """
     chain_len = max(out_branch, 8)
     if chain_len > selector_budget:
@@ -419,13 +433,19 @@ def children_stabilize(
     certs: list[dict] = []
 
     def stabilize(node: Seq, r: Seq) -> list[int]:
-        values = [phi.evaluate(AugmentedPoint(r + (k,))) for k in range(selector_budget)]
         tail = selector_budget - 1
-        limit = values[tail]
+        limit = phi.evaluate(AugmentedPoint(r + (tail,)))
+        values = {tail: limit}
+
+        def value(k: int) -> Value:
+            if k not in values:
+                values[k] = phi.evaluate(AugmentedPoint(r + (k,)))
+            return values[k]
+
         picks: list[int] = []
         k = 0
         while len(picks) < chain_len and k < tail:
-            if phi.value_distance(values[k], limit) <= Dyadic.pow2(-len(picks)):
+            if phi.value_distance(value(k), limit) <= Dyadic.pow2(-len(picks)):
                 picks.append(k)
             k += 1
         if len(picks) == chain_len:
@@ -438,7 +458,8 @@ def children_stabilize(
             eps = Dyadic.pow2(-e)
             picks = []
             for k in range(selector_budget):
-                if all(phi.value_distance(values[k], values[p]) >= eps for p in picks):
+                v = value(k)
+                if all(phi.value_distance(v, values[p]) >= eps for p in picks):
                     picks.append(k)
                 if len(picks) == out_branch:
                     break
@@ -517,10 +538,14 @@ def limit_refine(
     pool = _word_pool(out_branch)
     params = {"depth": out_depth, "branch": out_branch, "schedule": schedule.name}
 
-    def near(img: Seq, node: Seq) -> bool:
-        b = PeriodicPoint(img, (0,))
-        d = phi.value_distance(phi.evaluate(b), phi.evaluate(AugmentedPoint(img)))
-        return d < schedule(node)
+    def near(node: Seq) -> Callable[[Seq], bool]:
+        eps = schedule(node)
+
+        def at(img: Seq) -> bool:
+            b = PeriodicPoint(img, (0,))
+            return phi.value_distance(phi.evaluate(b), phi.evaluate(AugmentedPoint(img))) < eps
+
+        return at
 
     try:
         table = _refine(near, [()], pool, steps, out_depth, out_branch)
@@ -595,10 +620,12 @@ def epsilon_discrete_or_ball(
     for u in pool[:16]:
         center_point = AugmentedPoint(t + u)
         center = phi.evaluate(center_point)
+
+        def inside(c: Seq) -> bool:
+            return phi.value_distance(phi.evaluate(AugmentedPoint(c)), center) < eps
+
         try:
-            table = _refine(
-                lambda c, _u: phi.value_distance(phi.evaluate(AugmentedPoint(c)), center) < eps,
-                [t], pool, steps, out_depth, out_branch)
+            table = _refine(lambda _u: inside, [t], pool, steps, out_depth, out_branch)
         except _SearchFailed:
             continue
         certs = [_cmp("value_dist_lt", AugmentedPoint(img), center_point, eps)
@@ -690,12 +717,14 @@ def finite_avoid_or_converge(
     pool = _word_pool(out_branch)
     params = {"depth": out_depth, "branch": out_branch, "root": list(t)}
 
+    def near(x: Value, u: Seq) -> Callable[[Seq], bool]:
+        eps = schedule(u)
+        return lambda c: phi.value_distance(phi.evaluate(AugmentedPoint(c)), x) < eps
+
     for x in F:
         steps = _Steps(budget.steps, "finite_avoid_or_converge")
         try:
-            table = _refine(
-                lambda c, u: phi.value_distance(phi.evaluate(AugmentedPoint(c)), x) < schedule(u),
-                [t], pool, steps, out_depth, out_branch)
+            table = _refine(functools.partial(near, x), [t], pool, steps, out_depth, out_branch)
         except (_SearchFailed, BudgetExceeded):
             continue
         certs = [{"kind": "avoid_value", "op": "lt", "a": AugmentedPoint(img),

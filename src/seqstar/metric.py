@@ -19,8 +19,12 @@ from .sequences import (
 )
 
 
+_SHARED = 128  # 2^-k for k below this is one Dyadic, built once
+
+
 class Dyadic:
-    """A nonnegative rational m * 2^-k with m odd or zero (canonical form)."""
+    """A nonnegative rational m * 2^-k with m odd or zero (canonical form).
+    Only __init__ sets num and exp, so one value may be shared."""
 
     __slots__ = ("num", "exp")
 
@@ -51,9 +55,12 @@ class Dyadic:
 
     @classmethod
     def pow2(cls, k: int) -> "Dyadic":
-        """2^k for k <= 0, or the integer 2^k for k > 0."""
-        if k >= 0:
+        """2^k for k <= 0, or the integer 2^k for k > 0.  2^-k for k below
+        _SHARED is the one value a table holds, not a new Dyadic."""
+        if k > 0:
             return cls(1 << k)
+        if k > -_SHARED:
+            return _NEGATIVE_POWERS[-k]
         return cls(1, -k)
 
     def __eq__(self, other):
@@ -137,9 +144,12 @@ class Dyadic:
         raise ValueError(f"cannot parse dyadic {s!r}")
 
 
+_NEGATIVE_POWERS = tuple(Dyadic(1, k) for k in range(_SHARED))  # 2^-k at index k
+
+
 def radius(t: Seq) -> Dyadic:
     """The radius 2^-(len + sum of entries) at node t."""
-    return Dyadic(1, weight(t))
+    return Dyadic.pow2(-weight(t))
 
 
 class EpsilonSchedule(Frozen):
@@ -188,7 +198,7 @@ def distance(a: Point, b: Point) -> DistanceResult:
     s = split_and_weight(a, b)
     if s.__class__ is Undetermined:
         return Bounded(radius(a.restrict(s.depth).seq))
-    return Exact(Dyadic(1, s[1]))
+    return Exact(Dyadic.pow2(-s[1]))
 
 
 def ball_member(center: Point, radius: Dyadic, p: Point) -> bool | Undetermined:

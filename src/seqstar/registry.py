@@ -57,10 +57,12 @@ class SpaceFunction(Record):
     """A function into a metric space, presented through oracles.
 
     Its values are Dyadic or Point; value_distance owns their equality.
-    cone_diameter(t) upper-bounds the diameter of the image of the cone at
-    t and must be monotone along prefixes.  Where a construction probes the
-    values on the cone at t, it samples the point PeriodicPoint(t, (0,)),
-    t followed by zeros, which stays finitely presented in every trace.
+    evaluate must be pure: constructions evaluate only the points their
+    scans read, and recheck builds each function once.  cone_diameter(t)
+    upper-bounds the diameter of the image of the cone at t and must be
+    monotone along prefixes.  Where a construction probes the values on
+    the cone at t, it samples the point PeriodicPoint(t, (0,)), t followed
+    by zeros, which stays finitely presented in every trace.
     """
 
     __slots__ = ("name", "evaluate", "value_distance", "cone_diameter", "spec")
@@ -148,15 +150,18 @@ _POINT_CLASSES = {FinitePoint, AugmentedPoint, PeriodicPoint, InfinitePoint}
 
 
 def _split(a: Point, b: Point) -> tuple[int, int] | None:
-    """split_and_weight of two point values, None when they are equal.  Two
-    points that agree as far as a lazy one may be read have no distance to
-    read."""
+    """split_and_weight of two point values, None when they are equal.  The
+    points are compared only where the walk leaves them undetermined, and a
+    lazy point against itself is not read.  Two other points that agree as
+    far as a lazy one may be read have no distance to read."""
     if a.__class__ not in _POINT_CLASSES or b.__class__ not in _POINT_CLASSES:
         _check_kind(a, b, Point)
-    if a == b:
+    if a is b:
         return None
     s = split_and_weight(a, b)
     if s.__class__ is Undetermined:
+        if a == b:
+            return None
         raise BudgetExceeded(f"value distance undetermined: the points agree to depth {s.depth}")
     return s
 
@@ -164,13 +169,13 @@ def _split(a: Point, b: Point) -> tuple[int, int] | None:
 def _split_metric(a: Point, b: Point) -> Dyadic:
     """The classical first-difference ultrametric 2^-(meet length)."""
     s = _split(a, b)
-    return Dyadic.zero() if s is None else Dyadic(1, s[0] - 1)
+    return Dyadic.zero() if s is None else Dyadic.pow2(1 - s[0])
 
 
 def _module_metric(a: Point, b: Point) -> Dyadic:
     """The ultrametric of the compactified space, as metric.distance reads it."""
     s = _split(a, b)
-    return Dyadic.zero() if s is None else Dyadic(1, s[1])
+    return Dyadic.zero() if s is None else Dyadic.pow2(-s[1])
 
 
 def _rational(name: str, of_seq: Callable[[Seq], Dyadic],
@@ -193,7 +198,7 @@ def _zero_one_split(p: Point) -> Dyadic:
 
 def _depth_collapse(p: Point) -> Dyadic:
     if isinstance(p, AugmentedPoint):
-        return Dyadic(1, len(p.seq))
+        return Dyadic.pow2(-len(p.seq))
     if isinstance(p, InfinitePoint):
         return Dyadic.zero()
     raise DomainMismatch("depth-collapse is defined on infinite and augmented points")
@@ -207,8 +212,8 @@ FUNCTIONS: dict[str, SpaceFunction] = {
     "entry-sum": _rational("entry-sum", lambda t: Dyadic(sum(t))),
     "last-entry": _rational("last-entry", lambda t: Dyadic(t[-1] if t else 0)),
     "length": _rational("length", lambda t: Dyadic(len(t))),
-    "two-pow-last": _rational("two-pow-last", lambda t: Dyadic(1, t[-1] if t else 0)),
-    "two-pow-weight": _rational("two-pow-weight", lambda t: Dyadic(1, weight(t))),
+    "two-pow-last": _rational("two-pow-last", lambda t: Dyadic.pow2(-t[-1] if t else 0)),
+    "two-pow-weight": _rational("two-pow-weight", lambda t: Dyadic.pow2(-weight(t))),
     "enum-index": _rational("enum-index", lambda t: Dyadic(canonical_index(t))),
     "first-entry": _rational(
         "first-entry", lambda t: Dyadic(t[0] if t else 0),
@@ -231,23 +236,23 @@ FUNCTIONS: dict[str, SpaceFunction] = {
         name="baire-identity",
         evaluate=lambda p: p,
         value_distance=_split_metric,
-        cone_diameter=lambda t: Dyadic(1, len(t)),
+        cone_diameter=lambda t: Dyadic.pow2(-len(t)),
     ),
     "compactify-identity": SpaceFunction(
         name="compactify-identity",
         evaluate=lambda p: p,
         value_distance=_module_metric,
-        cone_diameter=lambda t: Dyadic(1, weight(t) + 1),
+        cone_diameter=lambda t: Dyadic.pow2(-1 - weight(t)),
     ),
     "prefix-embed": SpaceFunction(
         name="prefix-embed",
         evaluate=lambda p: extend(_PREFIX0, p),
         value_distance=_module_metric,
-        cone_diameter=lambda t: Dyadic(1, weight(t) + 2),
+        cone_diameter=lambda t: Dyadic.pow2(-2 - weight(t)),
     ),
     "half-eps-diam": _rational(
         "half-eps-diam", lambda t: Dyadic.zero(),
-        cone_diameter=lambda t: Dyadic(1, weight(t) + 1)),
+        cone_diameter=lambda t: Dyadic.pow2(-1 - weight(t))),
 }
 
 

@@ -22,7 +22,15 @@ from .embeddings import (
     validate,
 )
 from .metric import Dyadic
-from .registry import OPS, SHAPE_OF_VERDICT, SpaceFunction, build_function, tree_family, tree_set
+from .registry import (
+    OPS,
+    SHAPE_OF_VERDICT,
+    SpaceFunction,
+    build_function,
+    compose_function,
+    tree_family,
+    tree_set,
+)
 from .sequences import AugmentedPoint, Point, Record, Seq
 from .serialize import (
     ParseError,
@@ -264,12 +272,14 @@ def _contract_problems(trace: dict, stages: list) -> list[str]:
     return problems
 
 
-def _classify_problem(trace: _Fields, stages: list[dict], table: dict[Seq, Seq]) -> str | None:
+def _classify_problem(trace: _Fields, stages: list[dict], tables: list[dict[Seq, Seq] | None],
+                      table: dict[Seq, Seq]) -> str | None:
     """What breaks the pipeline a classify_baire_function trace claims, or
     None.  A Constant shape rests on no stages.  Any other shape rests on
     the three pipeline stages in order, each run on the function the stages
     before it leave; the table must be the composite of the stage tables,
-    and the shape the one the stabilize verdicts give."""
+    and the shape the one the stabilize verdicts give.  tables holds each
+    stage's table as its recheck parsed it, None where it did not."""
     shape = trace.get("shape")
     if shape == "Constant":
         return None if stages == [] else "classify: a Constant shape rests on no stages"
@@ -281,7 +291,8 @@ def _classify_problem(trace: _Fields, stages: list[dict], table: dict[Seq, Seq])
         if stage.get("function") != spec:
             return f"classify: stage {i} is not run on the function the stages before it leave"
         spec = {"base": spec, "precompose": stage.get("table")}
-    tables = [table_from_json(stage.get("table", {})) for stage in stages]
+    tables = [table_from_json(stage.get("table", {})) if t is None else t
+              for stage, t in zip(stages, tables)]
     pi1, pi2, pi3 = (MeetEmbedding.from_table(t) for t in tables)
     try:
         composite = {t: pi1.apply(pi2.apply(pi3.apply(t))) for t in tables[2]}
@@ -345,21 +356,34 @@ def _verdict_problems(trace: _Fields, table: dict[Seq, Seq], memo: _Memo) -> lis
 def recheck(trace: dict) -> RecheckReport:
     """Re-verify a construction trace from scratch; recurses into stages.
     A malformed field raises ParseError naming its path, e.g.
-    ``trace.stages[0].certificates[1].node``."""
-    return _recheck(trace, "trace")
+    ``trace.stages[0].certificates[1].node``.  Each table is parsed once,
+    and a stage whose function spec is the one the stage before it leaves
+    takes that function as built, not built again."""
+    return _recheck(trace, "trace", None)[0]
 
 
-def _recheck(trace: dict, path: str) -> RecheckReport:
+def _recheck(trace: dict, path: str, known: tuple[Any, SpaceFunction] | None
+             ) -> tuple[RecheckReport, dict[Seq, Seq] | None, SpaceFunction | None]:
+    """The report on the trace, its table and its function, None where
+    they were not reached.  known is a function spec with the function
+    built from it, which a trace naming that spec takes."""
     if not isinstance(trace, dict) or not isinstance(trace.get("certificates"), list):
         raise ParseError(f"{path} must be an object with a 'certificates' list")
     stages = trace.get("stages", [])
     if not isinstance(stages, list):
         raise ParseError(f"{path}.stages must be a list")
+    spec = trace.get("function")
     try:
-        phi = None if trace.get("function") is None else build_function(trace["function"])
+        if spec is None:
+            phi = None
+        elif known is not None and spec == known[0]:
+            phi = known[1]
+        else:
+            phi = build_function(spec)
     except ParseError as e:
-        return RecheckReport(False, 0, [f"cannot rebuild function: {e}"])
-    table = _Fields(table_from_json(trace.get("table", {})), f"{path}.table")
+        return RecheckReport(False, 0, [f"cannot rebuild function: {e}"]), None, None
+    parsed = table_from_json(trace.get("table", {}))
+    table = _Fields(parsed, f"{path}.table")
     fields, memo = _Fields(trace, path), _Memo(phi, _points(trace, path))
     report = RecheckReport(True, 0)
     for i, cert in enumerate(trace["certificates"]):
@@ -371,9 +395,18 @@ def _recheck(trace: dict, path: str) -> RecheckReport:
     if trace.get("op") == "children_stabilize":
         report.failures += _verdict_problems(fields, table, memo)
     report.ok = not report.failures
+    known = None if phi is None else (spec, phi)
+    tables = []
     for i, stage in enumerate(stages):
-        report.merge(_recheck(stage, f"{path}.stages[{i}]"))
+        sub, stage_table, stage_phi = _recheck(stage, f"{path}.stages[{i}]", known)
+        report.merge(sub)
+        tables.append(stage_table)
+        # What this stage leaves for the next: its function after its table.
+        known = None
+        if stage_phi is not None and "table" in stage and i + 1 < len(stages):
+            known = ({"base": stage["function"], "precompose": stage["table"]},
+                     compose_function(stage_phi, stage_table))
     if trace.get("op") == "classify_baire_function":
-        msg = _classify_problem(fields, stages, table)
+        msg = _classify_problem(fields, stages, tables, table)
         report.merge(RecheckReport(msg is None, 1, [] if msg is None else [msg]))
-    return report
+    return report, parsed, phi

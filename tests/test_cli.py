@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -443,3 +444,16 @@ def test_a_closed_stdout_exits_without_a_traceback(argv):
     proc.stderr.close()
     assert proc.wait(timeout=60) == EXIT_PIPE
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+def test_check_embed_stops_drawing_once_every_candidate_is_drawn(capsys):
+    # Set a, function 9 admits 170 candidates; once all are drawn no later
+    # draw adds one, so every larger --samples prints the same.
+    argv = ["catalog", "check-embed", "--set", "a", "--fn", "9", "--pi", '{"kind":"identity"}',
+            "--seed", "1", "--samples"]
+    want = {"distinct_outputs": 149, "pairing": True, "samples": 170}
+    start = time.perf_counter()
+    assert run_json(capsys, *argv, str(10 ** 9)) == want
+    assert time.perf_counter() - start < 2
+    assert run_json(capsys, *argv, "170") == run_json(capsys, *argv, "10000") == want
+    assert run_json(capsys, *argv, "169")["samples"] == 169

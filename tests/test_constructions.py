@@ -2,6 +2,7 @@ import copy
 import json
 import re
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -37,12 +38,16 @@ from seqstar.constructions import (
     ramsey_split,
     shrink_or_discrete,
 )
+from seqstar import registry as registry_module, trace as trace_module
 from seqstar.constructions import (
     _LOCAL_CAP,
     _SHAPE_OF_VERDICT,
     _SearchFailed,
     _Steps,
+    _build_table,
+    _cmp,
     _find,
+    _made,
     _word_pool,
 )
 from seqstar.embeddings import Valid, validate
@@ -63,7 +68,7 @@ from seqstar.sequences import (
     InfinitePoint,
     PeriodicPoint,
 )
-from seqstar.serialize import ParseError, point_from_json
+from seqstar.serialize import ParseError, node_key, point_from_json, table_from_json
 from seqstar.trace import recheck
 
 BUDGET = DepthBudget(steps=2_000_000)
@@ -601,28 +606,25 @@ def search_outcome(search, steps):
 @given(branch=st.integers(1, 6), lo=st.integers(0, 400), size=st.integers(0, 900),
        start=st.lists(st.integers(0, 3), max_size=3).map(tuple),
        hits=st.sets(st.integers(0, 900), max_size=4), boom=st.none() | st.integers(0, 900),
-       total=st.integers(1, 1200), node=st.none() | st.lists(st.integers(0, 2), max_size=2).map(tuple))
-@example(branch=6, lo=0, size=900, start=(1,), hits={_LOCAL_CAP}, boom=None, total=1200, node=())
-@example(branch=6, lo=0, size=900, start=(), hits={_LOCAL_CAP - 1}, boom=None, total=1200, node=None)
-@example(branch=4, lo=0, size=900, start=(), hits={40}, boom=30, total=1200, node=None)
-@example(branch=4, lo=0, size=900, start=(), hits={40}, boom=None, total=40, node=None)
-@example(branch=4, lo=0, size=900, start=(), hits={40}, boom=None, total=41, node=(0,))
-def test_find_matches_the_generator_search(branch, lo, size, start, hits, boom, total, node):
+       total=st.integers(1, 1200))
+@example(branch=6, lo=0, size=900, start=(1,), hits={_LOCAL_CAP}, boom=None, total=1200)
+@example(branch=6, lo=0, size=900, start=(), hits={_LOCAL_CAP - 1}, boom=None, total=1200)
+@example(branch=4, lo=0, size=900, start=(), hits={40}, boom=30, total=1200)
+@example(branch=4, lo=0, size=900, start=(), hits={40}, boom=None, total=40)
+@example(branch=4, lo=0, size=900, start=(), hits={40}, boom=None, total=41)
+def test_find_matches_the_generator_search(branch, lo, size, start, hits, boom, total):
     pool = _word_pool(branch)[lo:lo + size]
     accept = {start + pool[i] for i in hits if i < len(pool)}
     fail = start + pool[boom] if boom is not None and boom < len(pool) else None
 
-    def pred(c, *u):
-        assert list(u) == ([] if node is None else [node])
+    def pred(c):
         if c == fail:
             raise ZeroDivisionError
         return c in accept
 
     old, new = _Steps(total, "stage-x"), _Steps(total, "stage-x")
-    extra = () if node is None else (node,)
-    want = search_outcome(lambda: find_by_generator(lambda c: pred(c, *extra),
-                                                    (start + w for w in pool), old), old)
-    got = search_outcome(lambda: _find(pred, start, pool, new, *extra), new)
+    want = search_outcome(lambda: find_by_generator(pred, (start + w for w in pool), old), old)
+    got = search_outcome(lambda: _find(pred, start, pool, new), new)
     assert got == want
 
 
@@ -648,3 +650,170 @@ def test_recheck_evaluates_each_point_once_per_stage_and_still_catches_tampering
     report = recheck(doc)
     assert not report.ok and len(report.failures) == 1
     assert report.failures[0].startswith("avoid_pair: distance 0 below positive bound")
+
+
+# --- each value and table once ----------------------------------------------
+
+
+def eager_children_stabilize(phi, selector_budget, out_depth, out_branch):
+    """children_stabilize as it was when a node's values were evaluated all
+    at once, in order, before either scan read them."""
+    chain_len = max(out_branch, 8)
+    verdicts, certs = {}, []
+
+    def stabilize(node, r):
+        values = [phi.evaluate(AugmentedPoint(r + (k,))) for k in range(selector_budget)]
+        tail = selector_budget - 1
+        limit = values[tail]
+        picks = []
+        k = 0
+        while len(picks) < chain_len and k < tail:
+            if phi.value_distance(values[k], limit) <= Dyadic.pow2(-len(picks)):
+                picks.append(k)
+            k += 1
+        if len(picks) == chain_len:
+            verdicts[node] = Convergent()
+            for i, kk in enumerate(picks[:out_branch]):
+                certs.append(_cmp("value_dist_le", AugmentedPoint(r + (kk,)),
+                                  AugmentedPoint(r + (tail,)), Dyadic.pow2(-i)))
+            return picks[:out_branch]
+        for e in range(13):
+            eps = Dyadic.pow2(-e)
+            picks = []
+            for k in range(selector_budget):
+                if all(phi.value_distance(values[k], values[p]) >= eps for p in picks):
+                    picks.append(k)
+                if len(picks) == out_branch:
+                    break
+            if len(picks) == out_branch:
+                verdicts[node] = Discrete(eps)
+                for a, b in combinations(picks, 2):
+                    certs.append(_cmp("value_dist_ge", AugmentedPoint(r + (a,)),
+                                      AugmentedPoint(r + (b,)), eps))
+                return picks
+        raise BudgetExceeded(f"neither verdict certified at {node}", stage="children_stabilize")
+
+    table = _build_table(lambda t, r: [r + (k,) for k in stabilize(t, r)], out_depth, out_branch)
+    return _made("children_stabilize",
+                 {"depth": out_depth, "branch": out_branch, "selector_budget": selector_budget},
+                 table, certs, out_depth, out_branch, function=phi.spec,
+                 verdicts={node_key(t): ("Convergent" if isinstance(v, Convergent)
+                                         else f"Discrete:{v.eps}")
+                           for t, v in sorted(verdicts.items())}), verdicts
+
+
+def stabilize_outcome(run, phi, depth, branch):
+    try:
+        pe, verdicts = run(phi, 48, depth, branch)
+    except (BudgetExceeded, DomainMismatch) as e:
+        return type(e).__name__, getattr(e, "stage", None), str(e)
+    return pe.table, pe.trace, verdicts
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_the_lazy_stabilize_scan_agrees_with_the_eager_one(name):
+    # Picks (through the table), verdicts and certificates, or the error.
+    phi = FUNCTIONS[name]
+    for depth in (1, 2, 3):
+        for branch in (1, 2, 3):
+            assert stabilize_outcome(children_stabilize, phi, depth, branch) == \
+                stabilize_outcome(eager_children_stabilize, phi, depth, branch), (depth, branch)
+
+
+def counting_function(phi, calls):
+    return SpaceFunction(phi.name, lambda p: calls.append(p) or phi.evaluate(p),
+                         phi.value_distance, phi.cone_diameter, phi.spec)
+
+
+# A Convergent node reads its limit and the 8 children of its chain; a
+# Discrete node reads all 48 values.  Each of the 13 nodes with children at
+# depth 3, branch 3 is Convergent for compactify-identity, Discrete for
+# baire-identity.
+@pytest.mark.parametrize("name, evaluations", [("compactify-identity", 117),
+                                               ("baire-identity", 624)])
+def test_stabilize_evaluates_only_the_values_its_scans_read(name, evaluations):
+    calls = []
+    children_stabilize(counting_function(FUNCTIONS[name], calls), 48, 3, 3)
+    assert len(calls) == len(set(calls)) == evaluations
+
+
+def raising_past_child_19(name, value_of_child):
+    """A dyadic function of the last coordinate k of an augmented point
+    whose evaluate raises at every child 20 <= k < 47; the limit, child 47,
+    has a value."""
+    def evaluate(p):
+        k = p.seq[-1] if p.seq else 0
+        if 20 <= k < 47:
+            raise DomainMismatch(f"child {k} evaluated")
+        return value_of_child(k)
+    return _dyadic_function(name, evaluate)
+
+
+def test_a_convergent_scan_that_stops_early_never_reads_a_later_child():
+    # 2^-k: children 0..7 form the chain, so the scan stops at child 8.
+    fast = raising_past_child_19("fast", lambda k: Dyadic.pow2(-k))
+    pe, verdicts = children_stabilize(fast, 48, 2, 3)
+    assert set(verdicts.values()) == {Convergent()}
+    assert pe.table == {t: t for t in pe.table}  # each node picks its children 0, 1, 2
+    with pytest.raises(DomainMismatch, match="child 20 evaluated"):
+        eager_children_stabilize(fast, 48, 2, 3)
+    # 2^-(k // 3): the chain's i-th child is 3i, so the scan reads child 20.
+    slow = raising_past_child_19("slow", lambda k: Dyadic.pow2(-(k // 3)))
+    for run in (children_stabilize, eager_children_stabilize):
+        with pytest.raises(DomainMismatch, match="child 20 evaluated"):
+            run(slow, 48, 2, 3)
+
+
+def test_a_classify_recheck_parses_each_table_once_and_builds_one_function(monkeypatch):
+    _, pe = classify_baire_function(space_function("prefix-embed"), 3, 3)
+    doc = json.loads(json.dumps(pe.trace))
+    parsed, built = [], []
+
+    def parse(obj):
+        parsed.append(obj)
+        return table_from_json(obj)
+
+    build_function = trace_module.build_function
+    for module in (trace_module, registry_module):
+        monkeypatch.setattr(module, "table_from_json", parse)
+    monkeypatch.setattr(trace_module, "build_function",
+                        lambda spec: built.append(spec) or build_function(spec))
+    report = recheck(doc)
+    assert report.ok and report.checked == 1 + sum(len(st["certificates"]) for st in
+                                                   [doc, *doc["stages"]])
+    # The trace's table and the three stage tables; the stages take the
+    # trace's function, then each the one the stage before it leaves.
+    assert parsed == [doc["table"]] + [stage["table"] for stage in doc["stages"]]
+    assert built == [doc["function"]]
+
+
+def _extend_leaf(pre):
+    pre["2,2"] = pre["2,2"] + [0]
+
+
+def _drop_leaf(pre):
+    del pre["1,2"]
+
+
+def _malformed_image(pre):
+    pre["0"] = ["x"]
+
+
+# The reports the pipeline check gave before stages took the function the
+# stage before them leaves: a stage whose spec is not that one is built
+# from its spec, as it always was.
+STAGE_2 = "classify: stage 2 is not run on the function the stages before it leave"
+
+
+@pytest.mark.parametrize("tamper, checked, failures", [
+    (_extend_leaf, 43, [STAGE_2]),
+    (_drop_leaf, 43, [STAGE_2]),
+    (_malformed_image, 30, ["cannot rebuild function: table[0] must be a list of "
+                            "nonnegative integers", STAGE_2]),
+], ids=["leaf-extended", "leaf-dropped", "malformed-image"])
+def test_recheck_builds_a_tampered_stage_function_from_its_spec(tamper, checked, failures):
+    _, pe = classify_baire_function(space_function("baire-identity"))
+    doc = json.loads(json.dumps(pe.trace))
+    tamper(doc["stages"][2]["function"]["precompose"])
+    report = recheck(doc)
+    assert (report.ok, report.checked, report.failures) == (False, checked, failures)

@@ -200,7 +200,7 @@ ORACLE_FIELDS = ("evaluate", "value_distance", "cone_diameter")
 # benchmark builds; ops on tree sets or families call none of these.
 CEILINGS = {
     "shrink": (0, 0, 751),
-    "stabilize": (19_488, 9_970, 0),
+    "stabilize": (8_412, 9_970, 0),
     "disjointify": (157, 268, 268),
     "limit": (7_664, 4_030, 0),
     "eps-split": (26_133, 36_735, 0),
@@ -208,7 +208,7 @@ CEILINGS = {
     "avoid": (1_764, 1_764, 0),
     "finite-avoid": (14_038, 14_038, 0),
     "discrete-refine": (23_632, 50_614, 0),
-    "classify": (4_110, 3_660, 554),
+    "classify": (1_848, 3_660, 554),
 }
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from seqstar import sequences
-from seqstar.metric import Bounded, Dyadic, Exact, ball_member, distance, weight_schedule
+from seqstar.metric import Bounded, Dyadic, Exact, ball_member, distance, radius, weight_schedule
 from seqstar.registry import FUNCTIONS
 from seqstar.sequences import (
     AugmentedPoint,
@@ -98,6 +98,14 @@ def test_dyadic_compares_equal_values_written_two_ways(a, k):
     y = Dyadic(x.num << k, x.exp + k)  # the same value, renormalised
     assert x == y and x <= y and x >= y and not x < y and not x > y
     assert x.abs_diff(y).is_zero() and y.abs_diff(x).is_zero()
+
+
+def test_powers_of_two_are_the_dyadics_they_name():
+    # Small powers come from a shared table, larger ones are built.
+    for k in range(301):
+        assert Dyadic.pow2(-k) == Dyadic(1, k) == radius((0,) * k) == radius((k - 1,) if k else ())
+        assert (Dyadic.pow2(-k).num, Dyadic.pow2(-k).exp) == (1, k)
+        assert Dyadic.pow2(k) == Dyadic(1 << k)
 
 
 def test_schedule_values():
@@ -317,6 +325,22 @@ def test_periodic_points_split_within_the_fine_wilf_bound():
     a = PeriodicPoint((2,), (0, 1, 0, 0, 1))
     b = PeriodicPoint((2,), (0, 1, 0, 0, 1, 0, 1, 0))
     assert split_index(a, b) == 13 == split_by_restrict(a, b)
+
+
+def test_a_lazy_point_is_at_distance_zero_from_itself_without_being_read():
+    reads = []
+    p = InfinitePoint(lambda i: reads.append(i) or (0,) * i)
+    assert distance(p, p) == Exact(Dyadic.zero())
+    for name in POINT_VALUED:
+        assert FUNCTIONS[name].value_distance(p, p) == Dyadic.zero()
+    assert reads == []
+    # Another oracle for the same point is read to LAZY_DEPTH, and no
+    # further, and has no distance to tell.
+    q = InfinitePoint(lambda i: (0,) * i)
+    for name in POINT_VALUED:
+        with pytest.raises(BudgetExceeded, match="agree to depth 64"):
+            FUNCTIONS[name].value_distance(p, q)
+    assert max(reads) == sequences.LAZY_DEPTH
 
 
 @pytest.mark.parametrize("name", ["baire-identity", "compactify-identity"])
