@@ -34,7 +34,15 @@ from .sequences import (
     weight,
 )
 from .embeddings import MeetEmbedding, Valid, validate
-from .registry import SpaceFunction, TreeFamily, TreeSetOracle, compose_function
+from .registry import (
+    SpaceFunction,
+    TreeFamily,
+    TreeSetOracle,
+    ValueIndex,
+    compose_function,
+    diameter_pairs,
+    least_distance,
+)
 from .serialize import node_key, point_to_json, table_to_json, value_to_json
 
 Value = Any  # Dyadic or Point; equality/distance owned by the SpaceFunction
@@ -261,15 +269,8 @@ def _converging_table(phi: SpaceFunction, schedule: EpsilonSchedule, pool: Seque
 def _separation(phi: SpaceFunction, xs: Iterable[Value], ys: Sequence[Value]) -> Dyadic | None:
     """The least distance between a value in xs and one in ys, or None if
     there is no pair or some pair is at distance zero."""
-    least = None
-    for x in xs:
-        for y in ys:
-            d = phi.value_distance(x, y)
-            if d.is_zero():
-                return None
-            if least is None or d < least:
-                least = d
-    return least
+    d = least_distance(phi, xs, ValueIndex(phi, ys))
+    return None if d is None or d.is_zero() else d
 
 
 def _cmp(kind: str, a: Point | list[Point], b: Point | list[Point], bound: Dyadic) -> dict:
@@ -454,12 +455,19 @@ def children_stabilize(
                 certs.append(_cmp("value_dist_le", AugmentedPoint(r + (kk,)),
                                   AugmentedPoint(r + (tail,)), Dyadic.pow2(-i)))
             return picks[:out_branch]
+        dists: dict[tuple[int, int], Dyadic] = {}  # each pair's distance, read once per node
+
+        def dist(k: int, p: int) -> Dyadic:
+            d = dists.get((k, p))
+            if d is None:
+                d = dists[k, p] = phi.value_distance(value(k), values[p])
+            return d
+
         for e in range(13):
             eps = Dyadic.pow2(-e)
             picks = []
             for k in range(selector_budget):
-                v = value(k)
-                if all(phi.value_distance(v, values[p]) >= eps for p in picks):
+                if all(dist(k, p) >= eps for p in picks):
                     picks.append(k)
                 if len(picks) == out_branch:
                     break
@@ -596,14 +604,14 @@ def epsilon_discrete_or_ball(
 
     try:
         table: dict[Seq, Seq] = {}
-        chosen_values: list[Value] = []
+        chosen = ValueIndex(phi)
 
         def fresh(c: Seq) -> bool:
             v = phi.evaluate(AugmentedPoint(c))
-            for old in chosen_values:
+            for old in chosen.near(v):
                 if not phi.value_distance(v, old) >= eps:
                     return False
-            chosen_values.append(v)  # _find takes the first candidate accepted
+            chosen.add(v)  # _find takes the first candidate accepted
             return True
 
         for n, u in enumerate(nodes_in_range(out_depth, out_branch)):
@@ -668,9 +676,8 @@ def shrink_or_discrete(
         cone = [u for u in table if is_prefix(t, u)]
         members = [table[u] for u in cone]
         eps_t = schedule(t)
-        for a, b in combinations(cone, 2):
-            d = phi.value_distance(values[a], values[b])
-            if not d < eps_t:
+        for a, b in diameter_pairs(phi, [values[u] for u in cone]):
+            if not phi.value_distance(a, b) < eps_t:
                 raise BudgetExceeded(f"cone value diameter not below {eps_t} at {t}",
                                      stage="shrink_or_discrete")
         certs.append({"kind": "cone_value_diam_lt",
@@ -779,7 +786,7 @@ def discrete_refine(
     steps = _Steps(budget.steps, "discrete_refine")
     below_words = [w for w in pool if len(w) <= 1][:4]  # (), (0,), (1,), (2,)
     table = {}
-    limits: list[Value] = []  # the value at each image so far
+    limits = ValueIndex(phi)  # the value at each image so far
     limit_points: list[Point] = []  # AugmentedPoint(image), likewise
     certs = []
 
@@ -793,13 +800,13 @@ def discrete_refine(
             v = phi.evaluate(AugmentedPoint(c + w))
             if not w:
                 v0 = v
-            for x in limits:
+            for x in limits.near(v):
                 d = phi.value_distance(x, v)
                 if d.is_zero():
                     return False
                 worst = d if worst is None or d < worst else worst
         bound = worst if worst is not None else Dyadic.one()
-        limits.append(v0)  # _find takes the first candidate accepted
+        limits.add(v0)  # _find takes the first candidate accepted
         return True
 
     try:

@@ -9,7 +9,10 @@ constructions' code until an op is run, so recheck never loads it.
 """
 from __future__ import annotations
 
-from typing import Any, Callable
+import math
+from bisect import bisect_left
+from itertools import combinations
+from typing import Any, Callable, Iterable, Sequence
 
 from . import constructions as con  # a module reference: only running an op loads it
 from .embeddings import MeetEmbedding, extend
@@ -63,9 +66,18 @@ class SpaceFunction(Record):
     monotone along prefixes.  Where a construction probes the values on
     the cone at t, it samples the point PeriodicPoint(t, (0,)), t followed
     by zeros, which stays finitely presented in every trace.
+
+    order, when given, maps a value to a sort key, or to None for a value
+    it does not order.  Its contract: value_distance raises on no two keyed
+    values, and over keyed values the least distance from a value to a set
+    is attained at the value's neighbours in key order, and the diameter of
+    a set at its first and last members (see ValueIndex).  Least-distance
+    and diameter questions then read those pairs alone.  With order None,
+    or where a value has no key, they compare every pair, in the order and
+    with the early exits of a pairwise loop.
     """
 
-    __slots__ = ("name", "evaluate", "value_distance", "cone_diameter", "spec")
+    __slots__ = ("name", "evaluate", "value_distance", "cone_diameter", "spec", "order")
 
     def __init__(
         self,
@@ -74,9 +86,10 @@ class SpaceFunction(Record):
         value_distance: Callable[[Any, Any], Dyadic],
         cone_diameter: Callable[[Seq], Dyadic] | None = None,
         spec: dict | None = None,
+        order: Callable[[Any], Any] | None = None,
     ):
         super().__init__(name, evaluate, value_distance, cone_diameter,
-                         {"name": name} if spec is None else spec)
+                         {"name": name} if spec is None else spec, order)
 
 
 def compose_function(phi: SpaceFunction, table: dict[Seq, Seq]) -> SpaceFunction:
@@ -89,6 +102,7 @@ def compose_function(phi: SpaceFunction, table: dict[Seq, Seq]) -> SpaceFunction
         cone_diameter=(None if phi.cone_diameter is None
                        else lambda t: phi.cone_diameter(pi.apply(t))),
         spec={"base": phi.spec, "precompose": table_to_json(table)},
+        order=phi.order,
     )
 
 
@@ -178,6 +192,107 @@ def _module_metric(a: Point, b: Point) -> Dyadic:
     return Dyadic.zero() if s is None else Dyadic.pow2(-s[1])
 
 
+# --- least distances and diameters from a sorted order ---------------------
+
+
+def _dyadic_order(v: Any) -> Dyadic | None:
+    """The order of _abs_diff: a Dyadic value is its own key."""
+    return v if v.__class__ is Dyadic else None
+
+
+_MARKER = math.inf  # the marker coordinate, above every natural; compared only
+
+
+def _augmented_order(v: Any) -> tuple | None:
+    """The order of _split_metric and _module_metric on augmented values:
+    the key of AugmentedPoint(s) is s followed by the marker."""
+    return v.seq + (_MARKER,) if v.__class__ is AugmentedPoint else None
+
+
+class ValueIndex:
+    """Values of phi, kept sorted by phi.order as they are added, so that a
+    least distance to them is read at a value's two neighbours.
+
+    Why the neighbours suffice.  On the line (_abs_diff) this is plain.  On
+    the tree metrics, two distinct keys x < y first differ at some
+    coordinate k; the marker ends a key, so it is never one of the k common
+    coordinates.  _split_metric is 2^-k.  _module_metric is 2^-w with
+    w = k + 1 + S + min(x[k], y[k]), S the sum of the common coordinates
+    (split_and_weight; the marker, above every natural, is never the min).
+    For u < p < v in key order, u splits from v no later than p does.  A
+    deeper split always has a larger weight: if p splits from v at k' > k,
+    then v[k] is common to p and v, so w(p, v) >= k' + 1 + S + v[k] > w(u, v).
+    Among splits at one coordinate k, the neighbour has the largest
+    min(x[k], v[k]): below v, x[k] grows towards v[k]; above v, the min is
+    v[k] throughout.  So on either side the nearest value to v is the one
+    next to it in key order.  Likewise the first and last keys of a set
+    split at the least coordinate any pair splits at, with the least entry
+    there, so the diameter is the distance between them.
+
+    Where phi has no order, or some value (added or asked about) has no
+    key, near gives every value in the order added.
+    """
+
+    __slots__ = ("order", "added", "keys", "by_key")
+
+    def __init__(self, phi: SpaceFunction, values: Sequence[Any] = ()):
+        order = self.order = phi.order
+        self.added = list(values)
+        self.keys: list | None = None  # None: no sorted order
+        self.by_key: list[Any] = []
+        if order is not None:
+            keys = [order(v) for v in self.added]
+            if all(k is not None for k in keys):
+                ranks = sorted(range(len(keys)), key=keys.__getitem__)
+                self.keys = [keys[i] for i in ranks]
+                self.by_key = [self.added[i] for i in ranks]
+
+    def add(self, v: Any) -> None:
+        self.added.append(v)
+        if self.keys is not None:
+            k = self.order(v)
+            if k is None:
+                self.keys = None
+            else:
+                i = bisect_left(self.keys, k)
+                self.keys.insert(i, k)
+                self.by_key.insert(i, v)
+
+    def near(self, v: Any) -> list[Any]:
+        """The values a least distance from v must be read at: the ones
+        next to v in key order, or every value."""
+        keys = self.keys
+        k = None if keys is None else self.order(v)
+        if k is None:
+            return self.added
+        i = bisect_left(keys, k)
+        return self.by_key[i - 1 if i else 0:i + 1]
+
+
+def least_distance(phi: SpaceFunction, xs: Iterable[Any], index: ValueIndex) -> Dyadic | None:
+    """The least distance between a value in xs, read in order, and one in
+    index, stopping at the first zero; None when there is no pair."""
+    least = None
+    for x in xs:
+        for y in index.near(x):
+            d = phi.value_distance(x, y)
+            if d.is_zero():
+                return d
+            if least is None or d < least:
+                least = d
+    return least
+
+
+def diameter_pairs(phi: SpaceFunction, values: Sequence[Any]) -> Iterable[tuple[Any, Any]]:
+    """The pairs of values whose distances reach the diameter of values:
+    the first and last in key order, or, where phi has no order or a value
+    has no key, every pair, as combinations gives them."""
+    index = ValueIndex(phi, values)
+    if index.keys is None or len(values) < 2:
+        return combinations(values, 2)
+    return [(index.by_key[0], index.by_key[-1])]
+
+
 def _rational(name: str, of_seq: Callable[[Seq], Dyadic],
               cone_diameter: Callable[[Seq], Dyadic] | None = None) -> SpaceFunction:
     return SpaceFunction(
@@ -185,6 +300,7 @@ def _rational(name: str, of_seq: Callable[[Seq], Dyadic],
         evaluate=lambda p: of_seq(_finite_part(p)),
         value_distance=_abs_diff,
         cone_diameter=cone_diameter,
+        order=_dyadic_order,
     )
 
 
@@ -225,30 +341,35 @@ FUNCTIONS: dict[str, SpaceFunction] = {
         evaluate=_zero_one_split,
         value_distance=_abs_diff,
         cone_diameter=lambda t: Dyadic.zero(),
+        order=_dyadic_order,
     ),
     "depth-collapse": SpaceFunction(
         name="depth-collapse",
         evaluate=_depth_collapse,
         value_distance=_abs_diff,
         cone_diameter=lambda t: Dyadic.zero(),
+        order=_dyadic_order,
     ),
     "baire-identity": SpaceFunction(
         name="baire-identity",
         evaluate=lambda p: p,
         value_distance=_split_metric,
         cone_diameter=lambda t: Dyadic.pow2(-len(t)),
+        order=_augmented_order,
     ),
     "compactify-identity": SpaceFunction(
         name="compactify-identity",
         evaluate=lambda p: p,
         value_distance=_module_metric,
         cone_diameter=lambda t: Dyadic.pow2(-1 - weight(t)),
+        order=_augmented_order,
     ),
     "prefix-embed": SpaceFunction(
         name="prefix-embed",
         evaluate=lambda p: extend(_PREFIX0, p),
         value_distance=_module_metric,
         cone_diameter=lambda t: Dyadic.pow2(-2 - weight(t)),
+        order=_augmented_order,
     ),
     "half-eps-diam": _rational(
         "half-eps-diam", lambda t: Dyadic.zero(),

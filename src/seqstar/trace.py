@@ -26,8 +26,11 @@ from .registry import (
     OPS,
     SHAPE_OF_VERDICT,
     SpaceFunction,
+    ValueIndex,
     build_function,
     compose_function,
+    diameter_pairs,
+    least_distance,
     tree_family,
     tree_set,
 )
@@ -184,6 +187,14 @@ def _check_cert(cert: _Fields, trace: _Fields, phi: SpaceFunction | None,
     if kind == "avoid_pair" and bound.is_zero():
         holds = _never  # the first pair reports the zero bound
     count, vb = len(a) * len(b), [memo.value(points[j]) for j in b]
+    if holds is Dyadic.__ge__ and phi.order is not None and max(len(a), len(b)) > 2:
+        # Every pair is at least the bound iff the least distance is, which
+        # the larger side's sorted order gives (two values or fewer a side
+        # are all read anyway); a failure is named by the scan below.
+        va = [memo.value(points[i]) for i in a]
+        small, large = (va, vb) if len(va) < len(vb) else (vb, va)
+        if least_distance(phi, small, ValueIndex(phi, large)) >= bound:
+            return count, None
     for i in a:
         va = memo.value(points[i])
         for j, v in zip(b, vb):
@@ -247,6 +258,9 @@ def _check_single(cert: _Fields, trace: _Fields, phi: SpaceFunction | None,
             raise ParseError(f"{cert.path}.members must be a list of nodes")
         members = [_seq(m, f"{cert.path}.members") for m in members]
         vals = [memo.value(AugmentedPoint(m)) for m in members]
+        if phi.order is not None and all(phi.value_distance(va, vb) < eps
+                                         for va, vb in diameter_pairs(phi, vals)):
+            return None  # the diameter is below eps; a failure is named by the scan below
         for (ma, va), (mb, vb) in combinations(zip(members, vals), 2):
             d = phi.value_distance(va, vb)
             if not d < eps:
@@ -386,14 +400,19 @@ def _recheck(trace: dict, path: str, known: tuple[Any, SpaceFunction] | None
     table = _Fields(parsed, f"{path}.table")
     fields, memo = _Fields(trace, path), _Memo(phi, _points(trace, path))
     report = RecheckReport(True, 0)
-    for i, cert in enumerate(trace["certificates"]):
-        n, msg = _check_cert(_Fields(cert, f"{path}.certificates[{i}]"), fields, phi, table, memo)
-        report.checked += n
-        if msg is not None:
-            report.failures.append(msg)
-    report.failures += _contract_problems(trace, stages)
-    if trace.get("op") == "children_stabilize":
-        report.failures += _verdict_problems(fields, table, memo)
+    verdicts = []
+    try:
+        for i, cert in enumerate(trace["certificates"]):
+            n, msg = _check_cert(_Fields(cert, f"{path}.certificates[{i}]"), fields, phi, table, memo)
+            report.checked += n
+            if msg is not None:
+                report.failures.append(msg)
+        if trace.get("op") == "children_stabilize":
+            verdicts = _verdict_problems(fields, table, memo)
+    except InvalidEmbedding as e:
+        # phi evaluates through no embedding but the tables its spec precomposes.
+        report.failures.append(f"{path}.function: a precompose table is not an embedding: {e}")
+    report.failures += _contract_problems(trace, stages) + verdicts
     report.ok = not report.failures
     known = None if phi is None else (spec, phi)
     tables = []

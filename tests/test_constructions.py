@@ -319,6 +319,35 @@ def test_recheck_catches_a_tampered_pairwise_certificate(op, tamper, failure):
     assert not report.ok and report.failures[0].startswith(failure), report.failures
 
 
+# One certificate of a (3, 3) trace with its bound raised, or its eps
+# lowered, so that exactly one of its pairs fails, and the report of the
+# pairwise scan, which recheck ran for every pair before it decided these
+# certificates from a least distance or a diameter.
+ONE_PAIR_FAILS = {
+    "avoid-last": (lambda: discrete_refine(space_function("enum-index"), SCHED, 3, 3),
+                   39, "bound", "132", 3122,
+                   "avoid_pair: distance 131 below positive bound 132 at points 68, 69"),
+    "avoid-middle": (lambda: discrete_refine(space_function("enum-index"), SCHED, 3, 3),
+                     19, "bound", "2", 3122,
+                     "avoid_pair: distance 1 below positive bound 2 at points 25, 20"),
+    "eps-split": (lambda: epsilon_discrete_or_ball(space_function("enum-index"), Dyadic(1), (), 3, 3),
+                  20, "bound", "1610612712", 781,
+                  "value_dist_ge: distance 402653270 vs bound 1610612712 at points 19, 22"),
+    "cone-diameter": (lambda: shrink_or_discrete(space_function("two-pow-weight"), SCHED, 3, 3),
+                      1, "eps", "511·2^-10", 42,
+                      "cone_value_diam_lt: 511·2^-10 not < 511·2^-10 ((0,) vs (0, 2, 2, 2))"),
+}
+
+
+@pytest.mark.parametrize("case", list(ONE_PAIR_FAILS))
+def test_a_bound_that_one_pair_misses_fails_at_the_pair_the_scan_names(case):
+    build, i, key, bound, checked, failure = ONE_PAIR_FAILS[case]
+    doc = json.loads(json.dumps(build()[1].trace))
+    doc["certificates"][i][key] = bound
+    report = recheck(doc)
+    assert (report.ok, report.checked, report.failures) == (False, checked, [failure])
+
+
 @pytest.mark.parametrize("op", list(PAIRWISE))
 def test_pairwise_certificates_name_each_point_once(op):
     # The certificates of these modes compare lists of points, pair by pair.
@@ -799,6 +828,10 @@ def _malformed_image(pre):
     pre["0"] = ["x"]
 
 
+def _not_an_embedding(pre):
+    pre["0"] = pre["0"] + [0]  # (0,) and its child (0, 0) now have one image
+
+
 # The reports the pipeline check gave before stages took the function the
 # stage before them leaves: a stage whose spec is not that one is built
 # from its spec, as it always was.
@@ -810,10 +843,30 @@ STAGE_2 = "classify: stage 2 is not run on the function the stages before it lea
     (_drop_leaf, 43, [STAGE_2]),
     (_malformed_image, 30, ["cannot rebuild function: table[0] must be a list of "
                             "nonnegative integers", STAGE_2]),
-], ids=["leaf-extended", "leaf-dropped", "malformed-image"])
+    (_not_an_embedding, 31, ["trace.stages[2].function: a precompose table is not an "
+                             "embedding: image (0, 0) of (0, 0) does not strictly extend "
+                             "parent image (0, 0)", STAGE_2]),
+], ids=["leaf-extended", "leaf-dropped", "malformed-image", "not-an-embedding"])
 def test_recheck_builds_a_tampered_stage_function_from_its_spec(tamper, checked, failures):
     _, pe = classify_baire_function(space_function("baire-identity"))
     doc = json.loads(json.dumps(pe.trace))
     tamper(doc["stages"][2]["function"]["precompose"])
     report = recheck(doc)
     assert (report.ok, report.checked, report.failures) == (False, checked, failures)
+
+
+def test_a_stage_table_that_is_not_an_embedding_fails_the_stage_it_leaves_to():
+    # The stage table and the next stage's precompose table agree, so the
+    # next stage takes the function this stage leaves.
+    _, pe = classify_baire_function(space_function("baire-identity"))
+    doc = json.loads(json.dumps(pe.trace))
+    for pre in (doc["stages"][1]["table"], doc["stages"][2]["function"]["precompose"]):
+        _not_an_embedding(pre)
+    report = recheck(doc)
+    assert (report.ok, report.checked) == (False, 31)
+    assert report.failures == [
+        "table validation failed: Violation(t=(0,), i=0, j=None)",
+        "trace.stages[2].function: a precompose table is not an embedding: "
+        "image (0, 0) of (0, 0) does not strictly extend parent image (0, 0)",
+        "classify: the stage tables do not compose: image (0, 0) of (0, 0) does not "
+        "strictly extend parent image (0, 0)"]

@@ -200,15 +200,15 @@ ORACLE_FIELDS = ("evaluate", "value_distance", "cone_diameter")
 # benchmark builds; ops on tree sets or families call none of these.
 CEILINGS = {
     "shrink": (0, 0, 751),
-    "stabilize": (8_412, 9_970, 0),
+    "stabilize": (8_412, 9_321, 0),
     "disjointify": (157, 268, 268),
-    "limit": (7_664, 4_030, 0),
-    "eps-split": (26_133, 36_735, 0),
-    "shrink-or-discrete": (16_305, 31_842, 0),
+    "limit": (7_664, 3_634, 0),
+    "eps-split": (26_133, 28_096, 0),
+    "shrink-or-discrete": (16_305, 17_975, 0),
     "avoid": (1_764, 1_764, 0),
     "finite-avoid": (14_038, 14_038, 0),
-    "discrete-refine": (23_632, 50_614, 0),
-    "classify": (1_848, 3_660, 554),
+    "discrete-refine": (23_632, 20_613, 0),
+    "classify": (1_848, 2_511, 554),
 }
 
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from seqstar import sequences
 from seqstar.metric import Bounded, Dyadic, Exact, ball_member, distance, radius, weight_schedule
-from seqstar.registry import FUNCTIONS
+from seqstar.registry import FUNCTIONS, SpaceFunction, ValueIndex, diameter_pairs, least_distance
 from seqstar.sequences import (
     AugmentedPoint,
     BudgetExceeded,
@@ -371,3 +371,77 @@ def test_distance_reads_presented_points_without_restricting_them(monkeypatch):
         FUNCTIONS["compactify-identity"].value_distance(p, q)
         FUNCTIONS["baire-identity"].value_distance(p, q)
     assert calls == []
+
+
+# --- least distances and diameters from a sorted order ---------------------
+
+# One registry function for each metric that declares an order.
+ORDERED = {"line": "entry-sum", "split": "baire-identity", "module": "compactify-identity"}
+
+dyadics = st.builds(Dyadic, st.integers(0, 40), st.integers(0, 5))
+# Short sequences over a small alphabet: prefixes, duplicates and () come often.
+augmented = st.builds(AugmentedPoint, st.lists(st.integers(0, 3), max_size=4).map(tuple))
+
+
+def counting(phi, order):
+    """phi with the given order, counting its value distances."""
+    calls = []
+
+    def value_distance(a, b):
+        calls.append((a, b))
+        return phi.value_distance(a, b)
+
+    return SpaceFunction(phi.name, phi.evaluate, value_distance, phi.cone_diameter,
+                         phi.spec, order), calls
+
+
+def values_for(metric):
+    return dyadics if metric == "line" else augmented
+
+
+@settings(max_examples=300)
+@given(st.data(), st.sampled_from(sorted(ORDERED)))
+def test_the_sorted_order_reads_the_least_distance_and_diameter_of_a_scan(data, metric):
+    phi = FUNCTIONS[ORDERED[metric]]
+    xs = data.draw(st.lists(values_for(metric), max_size=6))
+    ys = data.draw(st.lists(values_for(metric), min_size=1, max_size=12))
+    pairs = [phi.value_distance(x, y) for x in xs for y in ys]
+    least = least_distance(phi, xs, ValueIndex(phi, ys))
+    assert least == (min(pairs) if pairs else None)
+    index = ValueIndex(phi)  # the same set, added one value at a time
+    for y in ys:
+        index.add(y)
+    assert least_distance(phi, xs, index) == least
+    assert len(index.near(ys[0])) <= 2
+    spread = [phi.value_distance(a, b) for a, b in itertools.combinations(ys, 2)]
+    got = [phi.value_distance(a, b) for a, b in diameter_pairs(phi, ys)]
+    assert max(got, default=None) == max(spread, default=None)
+    assert len(got) == min(len(spread), 1)
+
+
+UNKEYED = [FinitePoint((1,)), FinitePoint(()), PeriodicPoint((), (2,)), PeriodicPoint((1,), (0,))]
+
+
+@given(st.data(), st.sampled_from(["line-no-order", "split-no-order", "module-no-order",
+                                   "split-unkeyed", "module-unkeyed"]))
+def test_an_unordered_function_or_a_value_without_a_key_takes_the_scan(data, case):
+    metric, _, how = case.partition("-")
+    phi = FUNCTIONS[ORDERED[metric]]
+    ys = data.draw(st.lists(values_for(metric), min_size=1, max_size=8))
+    x = data.draw(values_for(metric))
+    if how == "unkeyed":
+        # One finite or periodic value, which the tree order does not key,
+        # in the set or asked about.
+        odd = data.draw(st.sampled_from(UNKEYED))
+        if data.draw(st.booleans()):
+            ys.insert(data.draw(st.integers(0, len(ys))), odd)
+        else:
+            x = odd
+    scanned, calls = counting(phi, None if how == "no-order" else phi.order)
+    index = ValueIndex(scanned, ys)
+    assert index.near(x) == ys
+    dists = [phi.value_distance(x, y) for y in ys]
+    zero = next((i for i, d in enumerate(dists) if d.is_zero()), len(ys) - 1)
+    assert least_distance(scanned, [x], index) == min(dists)
+    assert calls == [(x, y) for y in ys[:zero + 1]]  # in the order added, to the first zero
+    assert list(diameter_pairs(scanned, ys + [x])) == list(itertools.combinations(ys + [x], 2))
