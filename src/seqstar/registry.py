@@ -260,9 +260,10 @@ class ValueIndex:
 
     def near(self, v: Any) -> list[Any]:
         """The values a least distance from v must be read at: the ones
-        next to v in key order, or every value."""
+        next to v in key order, or every value.  A set of one gives its
+        value without reading a key."""
         keys = self.keys
-        k = None if keys is None else self.order(v)
+        k = None if keys is None or len(keys) < 2 else self.order(v)
         if k is None:
             return self.added
         i = bisect_left(keys, k)
@@ -285,12 +286,14 @@ def least_distance(phi: SpaceFunction, xs: Iterable[Any], index: ValueIndex) -> 
 
 def diameter_pairs(phi: SpaceFunction, values: Sequence[Any]) -> Iterable[tuple[Any, Any]]:
     """The pairs of values whose distances reach the diameter of values:
-    the first and last in key order, or, where phi has no order or a value
-    has no key, every pair, as combinations gives them."""
-    index = ValueIndex(phi, values)
-    if index.keys is None or len(values) < 2:
-        return combinations(values, 2)
-    return [(index.by_key[0], index.by_key[-1])]
+    the first and last in key order, or, where phi has no order, a value
+    has no key or there are two values or fewer, every pair, as
+    combinations gives them."""
+    if len(values) > 2:
+        index = ValueIndex(phi, values)
+        if index.keys is not None:
+            return [(index.by_key[0], index.by_key[-1])]
+    return combinations(values, 2)
 
 
 def _rational(name: str, of_seq: Callable[[Seq], Dyadic],

@@ -187,10 +187,11 @@ def _check_cert(cert: _Fields, trace: _Fields, phi: SpaceFunction | None,
     if kind == "avoid_pair" and bound.is_zero():
         holds = _never  # the first pair reports the zero bound
     count, vb = len(a) * len(b), [memo.value(points[j]) for j in b]
-    if holds is Dyadic.__ge__ and phi.order is not None and max(len(a), len(b)) > 2:
+    if holds is Dyadic.__ge__ and phi.order is not None and min(len(a), len(b)) > 1:
         # Every pair is at least the bound iff the least distance is, which
-        # the larger side's sorted order gives (two values or fewer a side
-        # are all read anyway); a failure is named by the scan below.
+        # the larger side's sorted order gives; a failure is named by the
+        # scan below.  A lone value on a side is scanned: sorting the other
+        # side would read every key of it for one query.
         va = [memo.value(points[i]) for i in a]
         small, large = (va, vb) if len(va) < len(vb) else (vb, va)
         if least_distance(phi, small, ValueIndex(phi, large)) >= bound:
