@@ -192,8 +192,8 @@ def _check_cert(cert: _Fields, trace: _Fields, phi: SpaceFunction | None,
         # the larger side's sorted order gives; a failure is named by the
         # scan below.  A lone value on a side is scanned: sorting the other
         # side would read every key of it for one query.
-        va = [memo.value(points[i]) for i in a]
-        small, large = (va, vb) if len(va) < len(vb) else (vb, va)
+        values_a = [memo.value(points[i]) for i in a]
+        small, large = (values_a, vb) if len(a) < len(b) else (vb, values_a)
         if least_distance(phi, small, ValueIndex(phi, large)) >= bound:
             return count, None
     for i in a:
